@@ -24,6 +24,7 @@ from ..core.family import CurveFamily
 from ..errors import BenchmarkError
 from ..specs import SpecConvertible
 from ..memmodels.base import AccessType, MemoryModel, MemoryRequest
+from ..telemetry import registry as telemetry
 from ..units import CACHE_LINE_BYTES
 
 
@@ -152,30 +153,29 @@ def characterize_model(
     never leaks between configurations (matching the paper's practice
     of rebooting the system under test between runs).
 
-    Under the vectorized engine (``repro.engine``) each point is first
-    attempted as one batched numpy evaluation; points whose exactness
-    preconditions fail fall back to this scalar loop, so the measured
-    curves are bit-identical under both engines.
+    With a telemetry registry active, ``probe.points`` and
+    ``probe.requests`` count the measured points and the requests they
+    issued.
     """
-    # lazy import: the engine's probe module imports ProbePoint from here
-    from .. import engine as engine_mod
-    from ..engine.probe import probe_point_vectorized
-
     config = config or ProbeConfig()
-    use_vectorized = engine_mod.vectorized()
+    # Null-sink fast path: read once, bound only when a registry is active.
+    tel = telemetry.active()
+    if tel is not None:
+        points_counter = tel.counter(
+            "probe.points", help="operating points measured by the model probe"
+        )
+        requests_counter = tel.counter(
+            "probe.requests", help="requests the model probe issued"
+        )
     builder = CurveBuilder(
         name=name, theoretical_bandwidth_gbps=theoretical_bandwidth_gbps
     )
     for ratio in config.read_ratios:
         for gap in config.gaps_ns:
-            model = model_factory()
-            point = None
-            if use_vectorized:
-                # returns None (leaving the model untouched) when the
-                # batch preconditions fail for this model or schedule
-                point = probe_point_vectorized(model, ratio, gap, config)
-            if point is None:
-                point = probe_point(model, ratio, gap, config)
+            point = probe_point(model_factory(), ratio, gap, config)
+            if tel is not None:
+                points_counter.inc()
+                requests_counter.inc(config.ops_per_point)
             builder.add(
                 read_ratio=ratio,
                 pressure=-gap,

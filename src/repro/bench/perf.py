@@ -1,37 +1,36 @@
-"""The perf-bench registry: a tracked reference-vs-vectorized trajectory.
+"""The perf-bench registry: tracked wall-time trajectories.
 
-One named bench is a workload that produces the *same* result under
-both engines (see :mod:`repro.engine`); the harness times it under
-each, checks the result digests agree, and reports the speedup. The
-registry replaces the copy-pasted ``benchmarks/bench_fig*.py`` bodies:
-every paper experiment is registered here under ``experiment.<id>``,
-and the engine-sensitive inner loops (curve interpolation, the model
-probe, the Mess window drive) have dedicated benches tagged
-``curves`` / ``probe`` / ``mess``.
+One named bench is a workload timed best-of-``repeat``. A bench may
+declare several named *variants* — alternative ways of computing the
+same result (``checks.selfcheck`` runs ``cold`` and then ``warm``
+against the analysis cache); the harness times each, checks their
+result digests agree, and, for a two-variant bench, reports the first
+variant's time over the second's as ``speedup``. Every paper
+experiment is registered here under ``experiment.<id>``, beside the
+component benches tagged ``curves`` / ``probe`` / ``hierarchy`` /
+``checks`` / ``serve``.
 
-``repro bench --filter curves --json BENCH_curves.json`` is the CI
-smoke invocation: the committed ``BENCH_curves.json`` is the perf
-trajectory of record, and the workflow fails when the measured
-speedup drops below its pinned floor.
+``repro bench --filter curves,hierarchy --json BENCH_curves.json`` is
+the CI smoke invocation; the committed ``BENCH_*.json`` payloads are
+the perf trajectories of record.
 
 Output schema (``--json``)::
 
     {
-      "repro_bench": 1,
+      "repro_bench": 2,
       "benches": [
         {
-          "name": "curves.family_interpolation",
-          "tags": ["curves"],
-          "engine_times_s": {"reference": 1.2, "vectorized": 0.02},
-          "speedup": 60.0,
+          "name": "checks.selfcheck",
+          "tags": ["checks"],
+          "times_s": {"cold": 1.8, "warm": 0.08},
+          "speedup": 22.5,
           "meta": {"digest": "...", "digests_match": true, ...}
         }
       ]
     }
 
-``speedup`` is reference time over vectorized time (best-of-``repeat``
-for each); ``meta.digests_match`` certifies the two engines produced
-bit-identical results for this workload.
+``meta.digests_match`` certifies the variants produced bit-identical
+results for this workload.
 """
 
 from __future__ import annotations
@@ -40,11 +39,8 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
-import numpy as np
-
-from .. import engine as engine_mod
 from ..errors import BenchmarkError, ConfigurationError
 from ..specs import spec_digest
 
@@ -52,7 +48,10 @@ from ..specs import spec_digest
 FORMAT_KEY = "repro_bench"
 
 #: Current payload version; bump on incompatible layout change.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+#: Variant list of a bench that declares none.
+DEFAULT_VARIANTS = ("default",)
 
 
 @dataclass(frozen=True)
@@ -60,28 +59,34 @@ class BenchSpec:
     """One registered perf bench.
 
     ``make()`` performs the (untimed) setup and returns a pair
-    ``(work, summarize)``: ``work(engine)`` runs the workload under the
-    already-activated engine and returns its raw result; ``summarize``
-    turns that result into a meta dict containing a ``"digest"``, so
-    the harness can certify engine equivalence. Only ``work`` is
-    timed — digesting a large result must not pollute the measurement.
+    ``(work, summarize)``: ``work(variant)`` runs the workload as the
+    named variant and returns its raw result; ``summarize`` turns that
+    result into a meta dict containing a ``"digest"``, so the harness
+    can certify that the variants agree. Only ``work`` is timed —
+    digesting a large result must not pollute the measurement.
+    Variants run in declaration order.
     """
 
     name: str
     tags: tuple[str, ...]
     make: Callable[[], tuple[Callable[[str], object], Callable[[object], dict]]]
+    variants: tuple[str, ...] = DEFAULT_VARIANTS
 
 
 _REGISTRY: dict[str, BenchSpec] = {}
 
 
-def register(name: str, *tags: str) -> Callable:
+def register(
+    name: str, *tags: str, variants: tuple[str, ...] = DEFAULT_VARIANTS
+) -> Callable:
     """Decorator registering a bench factory under ``name``."""
 
     def decorator(make: Callable[[], Callable[[str], dict]]):
         if name in _REGISTRY:
             raise ConfigurationError(f"duplicate bench name {name!r}")
-        _REGISTRY[name] = BenchSpec(name=name, tags=tuple(tags), make=make)
+        _REGISTRY[name] = BenchSpec(
+            name=name, tags=tuple(tags), make=make, variants=variants
+        )
         return make
 
     return decorator
@@ -109,52 +114,46 @@ def bench_names(filter: str | None = None) -> list[str]:
     return names
 
 
-def run_bench(
-    spec: BenchSpec,
-    engines: Iterable[str] = engine_mod.ENGINE_NAMES,
-    repeat: int = 1,
-) -> dict:
-    """Time one bench under each engine; returns its payload entry."""
+def run_bench(spec: BenchSpec, repeat: int = 1) -> dict:
+    """Time every variant of one bench; returns its payload entry."""
     if repeat < 1:
         raise ConfigurationError(f"repeat must be >= 1, got {repeat}")
     work, summarize = spec.make()
     times: dict[str, float] = {}
     metas: dict[str, dict] = {}
-    for engine in engines:
-        engine = engine_mod.resolve(engine)
+    for variant in spec.variants:
         best = float("inf")
         for _ in range(repeat):
-            with engine_mod.using(engine):
-                start = time.perf_counter()
-                result = work(engine)
-                elapsed = time.perf_counter() - start
-            best = min(best, elapsed)
-            metas[engine] = summarize(result)
-        times[engine] = best
+            start = time.perf_counter()
+            result = work(variant)
+            best = min(best, time.perf_counter() - start)
+            metas[variant] = summarize(result)
+        times[variant] = best
     digests = {meta.get("digest") for meta in metas.values()}
     meta = dict(next(iter(metas.values())))
     meta["digests_match"] = len(digests) == 1
     if not meta["digests_match"]:
         raise BenchmarkError(
-            f"bench {spec.name!r}: engines disagree: "
+            f"bench {spec.name!r}: variants disagree: "
             + ", ".join(
-                f"{engine}={m.get('digest')}" for engine, m in metas.items()
+                f"{variant}={m.get('digest')}" for variant, m in metas.items()
             )
         )
     entry = {
         "name": spec.name,
         "tags": list(spec.tags),
-        "engine_times_s": times,
+        "times_s": times,
         "meta": meta,
     }
-    if "reference" in times and "vectorized" in times and times["vectorized"] > 0:
-        entry["speedup"] = times["reference"] / times["vectorized"]
+    if len(spec.variants) == 2:
+        first, second = (times[variant] for variant in spec.variants)
+        if second > 0:
+            entry["speedup"] = first / second
     return entry
 
 
 def run_benches(
     filter: str | None = None,
-    engines: Iterable[str] = engine_mod.ENGINE_NAMES,
     repeat: int = 1,
     progress: Callable[[dict], None] | None = None,
 ) -> dict:
@@ -166,7 +165,7 @@ def run_benches(
         )
     benches = []
     for name in names:
-        entry = run_bench(_REGISTRY[name], engines=engines, repeat=repeat)
+        entry = run_bench(_REGISTRY[name], repeat=repeat)
         benches.append(entry)
         if progress is not None:
             progress(entry)
@@ -178,30 +177,18 @@ def write_payload(payload: dict, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def min_speedup(
-    payload: dict,
-    tag: str | None = None,
-    exclude_tags: Iterable[str] = (),
-) -> float | None:
-    """Smallest speedup in a payload (optionally among one tag).
-
-    ``exclude_tags`` drops benches carrying any of those tags — used by
-    the CLI to hold tag-scoped floors out of the global one (a scalar
-    hierarchy kernel should not be held to the vectorized-curves bar).
-    """
-    excluded = tuple(exclude_tags)
+def min_speedup(payload: dict) -> float | None:
+    """Smallest speedup among a payload's two-variant benches."""
     speedups = [
         bench["speedup"]
         for bench in payload.get("benches", ())
         if "speedup" in bench
-        and (tag is None or tag in bench.get("tags", ()))
-        and not any(t in bench.get("tags", ()) for t in excluded)
     ]
     return min(speedups) if speedups else None
 
 
 # ----------------------------------------------------------------------
-# Component benches: the engine-sensitive inner loops
+# Component benches: the model inner loops
 # ----------------------------------------------------------------------
 
 
@@ -209,49 +196,11 @@ def _family_digest(family) -> str:
     return spec_digest(family.to_dict())
 
 
-@register("curves.family_interpolation", "curves")
-def _bench_family_interpolation():
-    """Full curve-family latency surface: the Mess inner loop.
-
-    The reference engine walks ``family.latency_at`` point by point;
-    the vectorized engine answers whole bandwidth sweeps per ratio via
-    :func:`repro.engine.curves.family_latency_batch`. This is the
-    headline curve-family characterization kernel the PR's >= 10x
-    target refers to.
-    """
-    from ..engine.curves import family_latency_batch
-    from ..platforms.presets import INTEL_SKYLAKE, family
-
-    fam = family(INTEL_SKYLAKE)
-    ratios = sorted(curve.read_ratio for curve in fam)
-    bandwidths = np.linspace(0.0, fam.max_bandwidth_gbps * 1.05, 20_000)
-
-    def work(engine: str) -> list[np.ndarray]:
-        if engine_mod.vectorized():
-            return [
-                family_latency_batch(fam, bandwidths, ratio)
-                for ratio in ratios
-            ]
-        return [
-            np.array([fam.latency_at(float(b), ratio) for b in bandwidths])
-            for ratio in ratios
-        ]
-
-    def summarize(surface: list[np.ndarray]) -> dict:
-        return {
-            "digest": spec_digest([column.tolist() for column in surface]),
-            "queries": int(bandwidths.size * len(ratios)),
-        }
-
-    return work, summarize
-
-
 def _probe_bench(model_factory: Callable, theoretical: float | None):
     from .model_probe import ProbeConfig, characterize_model
 
     # the experiments' trace-probe configuration (fig. 5): a deep
-    # outstanding-request budget, so sub-saturation points provably
-    # never stall and the batch fast path applies
+    # outstanding-request budget, so sub-saturation points never stall
     config = ProbeConfig(
         gaps_ns=(0.12, 0.18, 0.3, 0.45, 0.7, 1.1, 1.8, 3.0, 6.0, 15.0, 45.0),
         ops_per_point=5000,
@@ -259,7 +208,7 @@ def _probe_bench(model_factory: Callable, theoretical: float | None):
         max_outstanding=1024,
     )
 
-    def work(engine: str):
+    def work(variant: str):
         return characterize_model(
             model_factory,
             config,
@@ -297,43 +246,6 @@ def _bench_characterize_dramsim3():
     return _probe_bench(lambda: DRAMsim3Analog(theoretical_gbps=128.0), 128.0)
 
 
-@register("mess.drive_fixed_rate", "mess")
-def _bench_mess_drive():
-    """A fixed-rate read stream through the Mess simulator.
-
-    The open-loop harness of the ablation and Optane studies: 20k
-    requests at 64 B/ns offered bandwidth, window-batched under the
-    vectorized engine, request-at-a-time under the reference engine.
-    """
-    from ..core.simulator import MessMemorySimulator
-    from ..engine.mess import drive_fixed_rate
-    from ..platforms.presets import INTEL_SKYLAKE, family
-
-    fam = family(INTEL_SKYLAKE)
-
-    def work(engine: str):
-        simulator = MessMemorySimulator(fam, keep_history=True)
-        drive_fixed_rate(simulator, 1.0, 20_000)
-        return simulator
-
-    def summarize(simulator) -> dict:
-        stats = simulator.stats
-        return {
-            "digest": spec_digest(
-                {
-                    "reads": stats.reads,
-                    "total_latency_ns": stats.total_latency_ns,
-                    "last_completion_ns": stats.last_completion_ns,
-                    "windows": len(simulator.history),
-                    "estimate": simulator._mess_bw,
-                }
-            ),
-            "ops": 20_000,
-        }
-
-    return work, summarize
-
-
 @register("hierarchy.visit", "hierarchy", "cpu")
 def _bench_hierarchy_visit():
     """Cache-hierarchy visits across the replacement-policy registry.
@@ -342,10 +254,7 @@ def _bench_hierarchy_visit():
     seeded scatter) driven through one :class:`MemoryHierarchy` per
     registered replacement policy. The walk is the scalar hot path of
     every characterize run; this bench pins its throughput trajectory
-    and cross-checks that hit/miss/writeback counters are identical
-    under both engines (the hierarchy itself has no vectorized fast
-    path yet, so the speedup hovers around 1x — CI holds it to a
-    tag-scoped floor rather than the vectorized-curves one).
+    and digests the hit/miss/writeback counters.
     """
     from ..cpu.cache import CacheConfig, HierarchyConfig
     from ..cpu.cachemodel import CacheModelSpec
@@ -362,7 +271,7 @@ def _bench_hierarchy_visit():
     line = 64
     span_lines = 3 * (512 * 1024) // line  # 3x the LLC: eviction pressure
 
-    def work(engine: str) -> dict:
+    def work(variant: str) -> dict:
         counters: dict[str, dict] = {}
         for policy in policy_kinds():
             hierarchy = MemoryHierarchy(
@@ -412,18 +321,17 @@ def _bench_hierarchy_visit():
     return work, summarize
 
 
-@register("checks.selfcheck", "checks")
+@register("checks.selfcheck", "checks", variants=("cold", "warm"))
 def _bench_checks_selfcheck():
     """The whole-program self-check, cold cache vs warm cache.
 
-    Runs ``analyze_paths`` over the shipped ``repro`` package twice
-    through the engine harness: the reference leg clears the analysis
-    cache first (a cold full parse + every rule), the vectorized leg
-    reuses it (digest probes plus the always-live whole-program pass).
-    The digest covers the bound findings, so the cross-engine check
-    certifies that a warm, cache-served analysis reports exactly what
-    a cold one does. The speedup is the incremental-CI win the
-    committed ``BENCH_checks.json`` floor pins.
+    Runs ``analyze_paths`` over the shipped ``repro`` package as two
+    variants: ``cold`` clears the analysis cache first (a full parse +
+    every rule), ``warm`` reuses it (digest probes plus the always-live
+    whole-program pass). The digest covers the bound findings, so the
+    variant cross-check certifies that a warm, cache-served analysis
+    reports exactly what a cold one does. The speedup is the
+    incremental-CI win the committed ``BENCH_checks.json`` floor pins.
     """
     import shutil
 
@@ -434,8 +342,8 @@ def _bench_checks_selfcheck():
     package_dir = Path(repro.__file__).parent
     cache_root = Path(".repro-cache") / "bench-selfcheck"
 
-    def work(engine: str):
-        if not engine_mod.vectorized():
+    def work(variant: str):
+        if variant == "cold":
             shutil.rmtree(cache_root, ignore_errors=True)
         return analyze_paths(
             [package_dir], cache=AnalysisCache(cache_root)
@@ -463,11 +371,9 @@ def _bench_serve_loadgen():
     Boots an in-process HTTP server on a fresh in-memory backend and
     replays the deterministic loadgen schedule through real sockets —
     miss/coalesce/compute on pass one, cache-serving on pass two. The
-    digest covers the served result *rows* (engine-independent), so
-    the harness's cross-engine check doubles as proof that a served
-    characterization equals a locally-computed one under either
-    engine. The meta records the hit-ratio and p99 trajectories —
-    the serving-path perf numbers ``BENCH_serve.json`` tracks.
+    digest covers the served result *rows*. The meta records the
+    hit-ratio and p99 trajectories — the serving-path perf numbers
+    ``BENCH_serve.json`` tracks.
     """
     from ..serve.loadgen import LoadgenConfig, run_loadgen
 
@@ -480,8 +386,8 @@ def _bench_serve_loadgen():
         max_inflight=4,
     )
 
-    def work(engine: str):
-        return run_loadgen(LoadgenConfig(engine=engine, **config))
+    def work(variant: str):
+        return run_loadgen(LoadgenConfig(**config))
 
     def summarize(report) -> dict:
         final = report["passes"][-1]
@@ -506,9 +412,8 @@ def _bench_serve_cluster():
     Boots a 3-shard :class:`~repro.serve.cluster.LocalCluster` —
     three shard servers behind the digest-range router, real sockets
     throughout — and replays the loadgen schedule through the router.
-    Same row-digest check as ``serve.loadgen``: a routed result must
-    be bit-identical to a locally-computed one, under either engine.
-    The delta between this bench's p99 and ``serve.loadgen``'s is the
+    Same row digest as ``serve.loadgen``: a routed result is
+    bit-identical to a single-process one. The delta between this bench's p99 and ``serve.loadgen``'s is the
     router's overhead — the price of failover, measured.
     """
     from ..serve.loadgen import LoadgenConfig, run_loadgen
@@ -523,8 +428,8 @@ def _bench_serve_cluster():
         shards=3,
     )
 
-    def work(engine: str):
-        return run_loadgen(LoadgenConfig(engine=engine, **config))
+    def work(variant: str):
+        return run_loadgen(LoadgenConfig(**config))
 
     def summarize(report) -> dict:
         final = report["passes"][-1]
@@ -550,14 +455,13 @@ def _bench_serve_cluster():
 # Experiment benches: one per paper table/figure
 # ----------------------------------------------------------------------
 
-#: Experiments too heavy to regenerate at full scale per engine; their
-#: benches run scaled down (the digest check still covers both engines).
+#: Experiments too heavy to regenerate at full scale per repeat; their
+#: benches run scaled down.
 _EXPERIMENT_SCALES = {"fig10": 0.4, "fig11": 0.4, "fig13": 0.4}
 
 #: Columns that are genuine wall-clock measurements: two runs of the
-#: *same* engine differ on them, so the engine cross-check digests the
-#: result with these columns removed (and the notes, which restate the
-#: same numbers as text).
+#: same code differ on them, so the deterministic digest drops these
+#: columns (and the notes, which restate the same numbers as text).
 NONDETERMINISTIC_COLUMNS: dict[str, tuple[str, ...]] = {
     "fig11": ("wall_time_s",),
 }
@@ -597,9 +501,9 @@ def _experiment_bench(
             else scale
         )
 
-        def work(engine: str):
+        def work(variant: str):
             # a real regeneration: no disk cache, no family memoization
-            # left over from the other engine's run
+            # left over from an earlier repeat
             result_cache.deactivate()
             experiments_common._FAMILY_CACHE.clear()
             return run_experiment(experiment_id, scale=effective_scale)

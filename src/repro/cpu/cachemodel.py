@@ -1,9 +1,9 @@
 """Declarative cache-model axis: topology, replacement, write policy.
 
-``CacheModelSpec`` is the third pluggable scenario axis after
-``memory`` and ``engine``: a frozen spec dataclass that round-trips
-through ``to_spec``/``from_spec``, participates in scenario digests,
-and selects how :class:`~repro.cpu.hierarchy.MemoryHierarchy` is
+``CacheModelSpec`` is the pluggable scenario axis beside ``memory``:
+a frozen spec dataclass that round-trips through
+``to_spec``/``from_spec``, participates in scenario digests, and
+selects how :class:`~repro.cpu.hierarchy.MemoryHierarchy` is
 built. The geometry of each level (size/ways/latency) stays on
 ``system.hierarchy``; this spec chooses which levels exist, how they
 are shared, the line size, and the replacement/write policies.

@@ -17,9 +17,14 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from ..errors import ConfigurationError
+from ..request import AccessType, MemoryRequest
+from ..units import CACHE_LINE_BYTES
+
+if TYPE_CHECKING:
+    from ..core.simulator import MessMemorySimulator
 
 
 @dataclass
@@ -139,6 +144,33 @@ class ExperimentResult:
         """
         blob = json.dumps(self.to_dict(), sort_keys=True, default=str)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def drive_fixed_rate(
+    simulator: "MessMemorySimulator",
+    gap_ns: float,
+    ops: int,
+    address_lines: int = 65536,
+    start_ns: float = 0.0,
+) -> float:
+    """Drive ``ops`` fixed-rate reads through the simulator.
+
+    The open-loop harness shared by the ablation and Optane studies:
+    addresses walk ``address_lines`` cache lines cyclically, every
+    request is a read, and issue times accumulate ``now += gap_ns``.
+    Returns the final ``now``.
+    """
+    now = start_ns
+    for index in range(ops):
+        simulator.access(
+            MemoryRequest(
+                address=(index % address_lines) * CACHE_LINE_BYTES,
+                access_type=AccessType.READ,
+                issue_time_ns=now,
+            )
+        )
+        now += gap_ns
+    return now
 
 
 # re-exported from units so experiment modules keep one import site

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from ..analysis.compare import compare_families
 from ..bench.model_probe import ProbeConfig, characterize_model
-from ..engine.mess import drive_fixed_rate
 from ..memmodels.optane import OptaneModel
 from ..platforms.presets import optane_family
 from ..scenario import build_memory
-from .base import ExperimentResult, scaled
+from .base import ExperimentResult, drive_fixed_rate, scaled
 from .registry import register
 
 EXPERIMENT_ID = "optane"

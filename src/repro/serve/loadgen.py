@@ -65,7 +65,6 @@ class LoadgenConfig:
     backend: str = "tiered"
     cache_dir: "str | None" = None
     url: "str | None" = None
-    engine: "str | None" = None
     max_inflight: int = 4
     deadline_s: float = 120.0
     shards: int = 0
@@ -90,9 +89,7 @@ class LoadgenConfig:
             )
 
 
-def loadgen_scenarios(
-    count: int, seed: int = 0, engine: "str | None" = None
-) -> list:
+def loadgen_scenarios(count: int, seed: int = 0) -> list:
     """``count`` unique, cheap characterize scenarios.
 
     Each is a tiny fixed-latency sweep (two store fractions, two nop
@@ -112,19 +109,16 @@ def loadgen_scenarios(
         chase_array_bytes=512 * 1024,
         traffic_array_bytes=512 * 1024,
     )
-    scenarios = []
-    for index in range(count):
-        scenario = characterization(
+    return [
+        characterization(
             name=f"loadgen-{seed}-{index:03d}",
             memory_kind="fixed-latency",
             memory_params={"latency_ns": 40.0 + 5.0 * index},
             cores=2,
             sweep=sweep,
         )
-        if engine is not None:
-            scenario = scenario.with_overrides({"engine": engine})
-        scenarios.append(scenario)
-    return scenarios
+        for index in range(count)
+    ]
 
 
 def _percentile_ms(sorted_ms: "list[float]", q: float) -> float:
@@ -192,9 +186,8 @@ def _row_digest(payload: Any) -> str:
     """Digest of the result *rows* only.
 
     Unlike :func:`_result_digest` this excludes the notes (which embed
-    the scenario digest, and with it the engine field), so the same
-    characterization computed under different engines digests
-    identically — the cross-engine equality the bench harness checks.
+    the scenario digest), so it names the measured data alone — what
+    the serve benches digest.
     """
     from ..specs import spec_digest
 
@@ -243,9 +236,7 @@ def _pass_report(
 
 async def run_loadgen_async(config: LoadgenConfig) -> dict:
     """Run the full loadgen and return its JSON-ready report."""
-    scenarios = loadgen_scenarios(
-        config.scenarios, seed=config.seed, engine=config.engine
-    )
+    scenarios = loadgen_scenarios(config.scenarios, seed=config.seed)
     specs = [scenario.to_spec() for scenario in scenarios]
 
     server: "HttpServer | None" = None
@@ -336,7 +327,6 @@ async def run_loadgen_async(config: LoadgenConfig) -> dict:
             "seed": config.seed,
             "backend": config.backend if config.url is None else None,
             "url": config.url,
-            "engine": config.engine,
             "shards": config.shards,
             "hedge": config.hedge,
         },

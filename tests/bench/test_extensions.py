@@ -21,7 +21,7 @@ from repro.cpu.system import System
 from repro.dram.timing import DDR4_2666
 
 # These tests exercise the harness internals on purpose; the scenario
-# route is covered by tests/engine and tests/bench/test_harness.py.
+# route is covered by tests/bench/test_harness.py.
 pytestmark = pytest.mark.filterwarnings(
     "ignore:constructing MessBenchmark directly:DeprecationWarning"
 )

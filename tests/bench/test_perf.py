@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.bench import perf
@@ -9,9 +11,9 @@ from repro.errors import BenchmarkError, ConfigurationError
 from repro.experiments.base import ExperimentResult
 
 
-def _constant_spec(name="t.constant", payload="same"):
+def _constant_spec(name="t.constant", payload="same", variants=("default",)):
     def make():
-        def work(engine):
+        def work(variant):
             return payload
 
         def summarize(result):
@@ -19,40 +21,76 @@ def _constant_spec(name="t.constant", payload="same"):
 
         return work, summarize
 
-    return perf.BenchSpec(name=name, tags=("t",), make=make)
+    return perf.BenchSpec(name=name, tags=("t",), make=make, variants=variants)
 
 
 class TestRunBench:
-    def test_times_both_engines_and_reports_speedup(self):
+    def test_single_variant_has_no_speedup(self):
         entry = perf.run_bench(_constant_spec())
-        assert set(entry["engine_times_s"]) == {"reference", "vectorized"}
+        assert list(entry["times_s"]) == ["default"]
         assert entry["meta"]["digests_match"] is True
-        assert "speedup" in entry
-
-    def test_single_engine_has_no_speedup(self):
-        entry = perf.run_bench(_constant_spec(), engines=("reference",))
         assert "speedup" not in entry
-        assert list(entry["engine_times_s"]) == ["reference"]
 
-    def test_digest_mismatch_raises(self):
+    def test_two_variants_report_first_over_second(self):
         def make():
-            def work(engine):
-                return engine  # engine-dependent result: a real bug
+            def work(variant):
+                if variant == "slow":
+                    time.sleep(0.02)
+                return "same"
 
             def summarize(result):
                 return {"digest": result}
 
             return work, summarize
 
-        spec = perf.BenchSpec(name="t.mismatch", tags=(), make=make)
+        spec = perf.BenchSpec(
+            name="t.pair", tags=(), make=make, variants=("slow", "fast")
+        )
+        entry = perf.run_bench(spec)
+        assert list(entry["times_s"]) == ["slow", "fast"]
+        assert entry["speedup"] == (
+            entry["times_s"]["slow"] / entry["times_s"]["fast"]
+        )
+        assert entry["speedup"] > 1.0
+
+    def test_variants_run_in_declaration_order_per_repeat(self):
+        calls = []
+
+        def make():
+            def work(variant):
+                calls.append(variant)
+                return "same"
+
+            def summarize(result):
+                return {"digest": result}
+
+            return work, summarize
+
+        spec = perf.BenchSpec(
+            name="t.order", tags=(), make=make, variants=("cold", "warm")
+        )
+        perf.run_bench(spec, repeat=2)
+        assert calls == ["cold", "cold", "warm", "warm"]
+
+    def test_digest_mismatch_raises(self):
+        def make():
+            def work(variant):
+                return variant  # variant-dependent result: a real bug
+
+            def summarize(result):
+                return {"digest": result}
+
+            return work, summarize
+
+        spec = perf.BenchSpec(
+            name="t.mismatch", tags=(), make=make, variants=("a", "b")
+        )
         with pytest.raises(BenchmarkError, match="disagree"):
             perf.run_bench(spec)
 
-    def test_rejects_bad_repeat_and_engine(self):
+    def test_rejects_bad_repeat(self):
         with pytest.raises(ConfigurationError):
             perf.run_bench(_constant_spec(), repeat=0)
-        with pytest.raises(ConfigurationError):
-            perf.run_bench(_constant_spec(), engines=("turbo",))
 
 
 class TestRegistry:
@@ -67,7 +105,7 @@ class TestRegistry:
 
     def test_bench_names_filters_by_substring_and_tag(self):
         names = perf.bench_names()
-        assert "curves.family_interpolation" in names
+        assert "curves.characterize_fixed_latency" in names
         assert "experiment.fig2" in names
         assert perf.bench_names("curves") == [
             name
@@ -83,7 +121,7 @@ class TestRegistry:
     def test_experiment_bench_scale_override(self):
         spec = perf.experiment_bench("fig17", scale=0.5)
         work, summarize = spec.make()
-        result = work("reference")
+        result = work(*spec.variants)
         meta = summarize(result)
         assert meta["scale"] == 0.5
         assert meta["rows"] == len(result.rows)
@@ -103,17 +141,25 @@ class TestPayload:
         assert again[perf.FORMAT_KEY] == perf.FORMAT_VERSION
         assert again["benches"][0]["name"] == "t.constant"
 
-    def test_min_speedup_selects_tag(self):
+    def test_min_speedup_skips_single_variant_benches(self):
         payload = {
             "benches": [
-                {"speedup": 12.0, "tags": ["curves"]},
-                {"speedup": 3.0, "tags": ["probe"]},
-                {"tags": ["curves"]},  # no speedup: single-engine entry
+                {"speedup": 12.0, "tags": ["checks"]},
+                {"speedup": 3.0, "tags": ["checks"]},
+                {"tags": ["curves"]},  # no speedup: single-variant entry
             ]
         }
         assert perf.min_speedup(payload) == 3.0
-        assert perf.min_speedup(payload, tag="curves") == 12.0
+        assert perf.min_speedup({"benches": [{"tags": ["curves"]}]}) is None
         assert perf.min_speedup({"benches": []}) is None
+
+    def test_only_selfcheck_declares_variants(self):
+        multi = {
+            name: perf._REGISTRY[name].variants
+            for name in perf.bench_names()
+            if perf._REGISTRY[name].variants != perf.DEFAULT_VARIANTS
+        }
+        assert multi == {"checks.selfcheck": ("cold", "warm")}
 
 
 class TestDeterministicDigest:

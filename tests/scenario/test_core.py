@@ -139,6 +139,31 @@ class TestLoadScenario:
             load_scenario(path)
 
 
+class TestLegacyEngineKey:
+    """Scenario files written when runs picked an engine still load."""
+
+    def _write(self, tmp_path, name, extra):
+        path = tmp_path / name
+        path.write_text(json.dumps({**_tiny().to_spec(), **extra}))
+        return path
+
+    def test_engine_key_is_dropped_with_one_warning(self, tmp_path):
+        legacy = self._write(tmp_path, "legacy.json", {"engine": "vectorized"})
+        plain = self._write(tmp_path, "plain.json", {})
+        with pytest.warns(DeprecationWarning, match="'engine' key is ignored") as caught:
+            scenario = load_scenario(legacy)
+        assert len(caught) == 1
+        assert scenario.digest() == load_scenario(plain).digest()
+        assert "engine" not in scenario.to_spec()
+
+    def test_scenario_validator_accepts_the_key(self, tmp_path):
+        from repro.checks.invariants import check_scenario_file
+
+        legacy = self._write(tmp_path, "legacy.json", {"engine": "reference"})
+        with pytest.warns(DeprecationWarning, match="'engine' key is ignored"):
+            assert check_scenario_file(legacy) == []
+
+
 class TestPresets:
     def test_unknown_preset_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown scenario"):

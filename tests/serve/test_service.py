@@ -91,6 +91,18 @@ class TestSubmit:
         assert counters["serve.coalesced"] >= 49
         assert stats["singleflight"]["followers"] >= 49
 
+    def test_legacy_engine_key_is_ignored(self):
+        spec = tiny_spec()
+
+        async def scenario(service):
+            return await service.submit(
+                "characterize", {**spec, "engine": "reference"}
+            )
+
+        with pytest.warns(DeprecationWarning, match="'engine' key is ignored"):
+            served = run_service(scenario, backend=MemoryLRUBackend())
+        assert served["digest"] == loadgen_scenarios(1)[0].digest()
+
     def test_unknown_verb_is_a_bad_request(self):
         async def scenario(service):
             with pytest.raises(BadRequestError):

@@ -242,6 +242,27 @@ class TestRunTelemetry:
             "sim.requests"
         ] > 0
 
+    def test_probe_only_experiment_writes_metrics(self, capsys, tmp_path):
+        # fig4 probes memory models directly: no simulator, no CPU
+        metrics = tmp_path / "out.prom"
+        assert (
+            main(
+                [
+                    "run",
+                    "fig4",
+                    "--no-cache",
+                    "--scale",
+                    "0.2",
+                    "--metrics",
+                    str(metrics),
+                ]
+            )
+            == 0
+        )
+        text = metrics.read_text()
+        assert "repro_probe_points_total" in text
+        assert "repro_probe_requests_total" in text
+
     def test_no_flags_no_telemetry(self, capsys, tmp_path):
         manifest = tmp_path / "m.json"
         assert (
@@ -377,6 +398,57 @@ class TestParser:
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args([])
+
+
+class TestBench:
+    def test_bench_list(self, capsys):
+        assert main(["bench", "--list"]) == 0
+        out = capsys.readouterr().out
+        assert "curves.characterize_fixed_latency" in out
+        assert "experiment.fig2" in out
+
+    def test_bench_runs_filtered(self, capsys, tmp_path):
+        payload_path = tmp_path / "bench.json"
+        assert (
+            main(
+                [
+                    "bench",
+                    "--filter",
+                    "experiment.fig17",
+                    "--json",
+                    str(payload_path),
+                ]
+            )
+            == 0
+        )
+        payload = json.loads(payload_path.read_text())
+        assert payload["repro_bench"] == 2
+        (entry,) = payload["benches"]
+        assert list(entry["times_s"]) == ["default"]
+        assert "speedup" not in entry
+
+    def test_bench_min_speedup_floor_fails(self, capsys, tmp_path, monkeypatch):
+        # the self-check bench keeps its analysis cache under the cwd
+        monkeypatch.chdir(tmp_path)
+        assert (
+            main(["bench", "--filter", "checks", "--min-speedup", "1e9"])
+            == 1
+        )
+        assert "below the" in capsys.readouterr().err
+
+    def test_min_speedup_needs_a_two_variant_bench(self, capsys):
+        assert (
+            main(["bench", "--filter", "experiment.fig17", "--min-speedup", "1"])
+            == 2
+        )
+        assert "two-variant" in capsys.readouterr().err
+
+    def test_engine_selection_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", "fig17", "--engine", "reference"])
+        assert exc_info.value.code == 2
+        assert main(["run", "fig17", "--no-cache", "--opt", "engine=reference"]) == 1
+        assert "unknown option(s) ['engine']" in capsys.readouterr().err
 
 
 class TestRunResilience:

@@ -23,7 +23,7 @@ from repro.memmodels import CycleAccurateModel
 from repro.workloads import LmbenchLatency, StreamWorkload
 
 # These tests exercise the harness internals on purpose; the scenario
-# route is covered by tests/engine and tests/bench/test_harness.py.
+# route is covered by tests/bench/test_harness.py.
 pytestmark = pytest.mark.filterwarnings(
     "ignore:constructing MessBenchmark directly:DeprecationWarning"
 )
