@@ -405,52 +405,6 @@ def _bench_serve_loadgen():
     return work, summarize
 
 
-@register("serve.cluster", "serve")
-def _bench_serve_cluster():
-    """The sharded fabric under the same replayable load.
-
-    Boots a 3-shard :class:`~repro.serve.cluster.LocalCluster` —
-    three shard servers behind the digest-range router, real sockets
-    throughout — and replays the loadgen schedule through the router.
-    Same row digest as ``serve.loadgen``: a routed result is
-    bit-identical to a single-process one. The delta between this bench's p99 and ``serve.loadgen``'s is the
-    router's overhead — the price of failover, measured.
-    """
-    from ..serve.loadgen import LoadgenConfig, run_loadgen
-
-    config = dict(
-        scenarios=3,
-        requests=36,
-        clients=6,
-        passes=2,
-        backend="memory",
-        max_inflight=4,
-        shards=3,
-    )
-
-    def work(variant: str):
-        return run_loadgen(LoadgenConfig(**config))
-
-    def summarize(report) -> dict:
-        final = report["passes"][-1]
-        server = report.get("server") or {}
-        counters = server.get("counters", {})
-        return {
-            "digest": spec_digest(report["row_digests"]),
-            "requests": sum(p["requests"] for p in report["passes"]),
-            "errors": sum(p["errors"] for p in report["passes"]),
-            "hit_ratio_trajectory": report["hit_ratio_trajectory"],
-            "p50_ms": final["p50_ms"],
-            "p99_ms": final["p99_ms"],
-            "digest_consistent": report["digest_consistent"],
-            "shards": 3,
-            "forwarded": counters.get("serve.forwarded", 0),
-            "failovers": counters.get("serve.failovers", 0),
-        }
-
-    return work, summarize
-
-
 # ----------------------------------------------------------------------
 # Experiment benches: one per paper table/figure
 # ----------------------------------------------------------------------

@@ -10,8 +10,7 @@ Three layers:
   (:mod:`.rules_floats`), RPR006 scenario-layer boundary
   (:mod:`.rules_scenario`), RPR007 exception swallowing
   (:mod:`.rules_resilience`), RPR009 blocking I/O on the serving
-  event loop (:mod:`.rules_serve`), RPR013 unclassified exception
-  swallowing on shard RPC paths (:mod:`.rules_cluster`);
+  event loop (:mod:`.rules_serve`);
 - a whole-program layer — an import + approximate call graph
   (:mod:`.graph`) and reachability walks (:mod:`.dataflow`) feeding
   the interprocedural rules: RPR010 digest-determinism taint
@@ -50,7 +49,6 @@ from .engine import (
 
 # Importing the rule modules populates RULE_CLASSES as a side effect —
 # same pattern as the experiment registry.
-from . import rules_cluster  # noqa: F401
 from . import rules_determinism  # noqa: F401
 from . import rules_floats  # noqa: F401
 from . import rules_hotpath  # noqa: F401

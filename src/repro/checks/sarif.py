@@ -3,7 +3,7 @@
 SARIF (Static Analysis Results Interchange Format) is the lingua
 franca of code-scanning UIs: GitHub's security tab, VS Code's SARIF
 viewer, and most CI annotators ingest it directly. Emitting it makes
-the project-specific rules (RPR001–RPR013) first-class citizens next
+the project-specific rules (RPR001–RPR011) first-class citizens next
 to ruff and mypy in a PR review — inline annotations on the changed
 lines, rule help text on hover — without any bespoke glue.
 

@@ -36,18 +36,12 @@ Commands
     preset or file as canonical JSON, validate scenario files (exit 1
     on problems), or print the stable content digest the cache keys
     on.
-``cache {info,clear} [--cache-dir DIR] [--backend SPEC] [--ttl S]
-[--max-entries N] [--json]``
-    Inspect or empty the result cache (default ``~/.cache/repro-mess``,
-    overridable via ``$REPRO_CACHE_DIR``). ``info`` reports the backend
-    type, entry/byte totals, digest-shard distribution and quarantined
-    counts uniformly for every backend; ``--backend`` selects a storage
-    backend or comma-separated tier stack (``dir``, ``sqlite``,
-    ``memory``, ``tiered``; see :mod:`repro.serve.backends`).
-    ``--ttl`` / ``--max-entries`` configure sqlite-tier retention
-    (expiry on read, oldest-first eviction on write); ``info`` reports
-    the lifetime expired/evicted totals. ``info --json`` emits a
-    machine-readable report with a per-entry size breakdown.
+``cache {info,clear} [--cache-dir DIR] [--json]``
+    Inspect or empty the on-disk result cache (default
+    ``~/.cache/repro-mess``, overridable via ``$REPRO_CACHE_DIR``).
+    ``info`` reports entry/byte totals, the digest-shard distribution
+    and quarantined counts; ``info --json`` emits a machine-readable
+    report with a per-entry size breakdown.
 ``telemetry summarize PATH [--json]``
     Roll up an exported telemetry file (Chrome trace or JSONL): span
     durations, counter totals, control-loop sample ranges.
@@ -75,38 +69,27 @@ Commands
     ``--min-speedup`` exits 1 when any measured speedup falls below
     the floor.
 ``serve [--host H] [--port P] [--backend SPEC] [--cache-dir DIR]
-[--max-inflight N] [--queue-limit N] [--deadline S] [--shards N]
-[--hedge] [--warm MANIFEST] [--ttl S] [--max-entries N]``
+[--max-inflight N] [--queue-limit N] [--deadline S] [--warm MANIFEST]``
     Run the asyncio characterization service (:mod:`repro.serve`):
-    digest-keyed scenario results over HTTP with tiered cache
-    backends, single-flight request coalescing, backpressure (429/503)
-    and per-request deadlines (504). Routes: ``/healthz``,
-    ``/metrics`` (Prometheus), ``/stats``, ``GET /v1/result/<digest>``
-    and ``POST /v1/{characterize,simulate,profile}``. ``--warm``
-    pre-seeds the cache from a ``repro run`` manifest before the
-    socket opens. With ``--shards N`` it becomes a cluster: N shard
-    processes on ports ``P+1..P+N`` (sharing ``--cache-dir``) behind a
-    digest-range router on ``P`` with health probing, per-shard
-    circuit breakers and failover (:mod:`repro.serve.cluster`). Runs
-    until interrupted; SIGTERM drains gracefully and exits 0.
-``route --shard URL [--shard URL ...] [--host H] [--port P] [--hedge]
-[--hedge-delay-ms MS] [--max-inflight N] [--queue-limit N]
-[--deadline S]``
-    Run only the cluster router over already-running ``repro serve``
-    shards — the deployment shape where shards and router live on
-    different machines. Same routes and drain behaviour as ``serve``.
+    digest-keyed scenario results over HTTP from one process and one
+    cache (by default an in-memory LRU over the ``repro run``
+    directory store), with single-flight request coalescing,
+    backpressure (429/503) and per-request deadlines (504). Routes:
+    ``/healthz``, ``/metrics`` (Prometheus), ``/stats``,
+    ``GET /v1/result/<digest>`` and
+    ``POST /v1/{characterize,simulate,profile}``. ``--warm`` pre-seeds
+    the cache from a ``repro run`` manifest before the socket opens.
+    Runs until interrupted; SIGTERM drains gracefully and exits 0.
 ``loadgen [--scenarios K] [--requests N] [--clients C] [--passes P]
 [--seed S] [--backend SPEC] [--cache-dir DIR] [--url URL]
-[--shards N] [--hedge] [--json PATH] [--assert-hit-ratio X]
-[--assert-p99-ms MS]``
+[--json PATH] [--assert-hit-ratio X] [--assert-p99-ms MS]``
     Replay a deterministic request schedule against a serve endpoint —
     an in-process server by default, a running ``repro serve`` via
-    ``--url``, or a private in-process N-shard cluster via
-    ``--shards`` — and report per-pass hit ratios, coalescing counts
-    and p50/p99 latency. ``--assert-hit-ratio`` / ``--assert-p99-ms``
-    gate the final pass (exit 1 on violation; CI's serve-smoke and
-    cluster-smoke jobs use both); result digests are cross-checked
-    against each other and exit 1 on any mismatch.
+    ``--url`` — and report per-pass hit ratios, coalescing counts and
+    p50/p99 latency. ``--assert-hit-ratio`` / ``--assert-p99-ms`` gate
+    the final pass (exit 1 on violation; CI's serve-smoke job uses
+    both); result digests are cross-checked against each other and
+    exit 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -392,38 +375,13 @@ def _run_resume(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    backend = None
-    if args.backend:
-        from .serve.backends import make_backend
-
-        backend = make_backend(
-            args.backend,
-            args.cache_dir,
-            ttl_s=args.ttl,
-            max_entries=args.max_entries,
-        )
-    elif args.ttl is not None or args.max_entries is not None:
-        print(
-            "error: --ttl/--max-entries require a sqlite tier; pass "
-            "--backend sqlite (or a stack containing it)",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    cache = ResultCache(args.cache_dir, backend=backend)
-    try:
-        return _run_cache_action(args, cache)
-    finally:
-        cache.close()
-
-
-def _run_cache_action(args: argparse.Namespace, cache: ResultCache) -> int:
+    cache = ResultCache(args.cache_dir)
     if args.action == "info":
         if args.json:
             print(json.dumps(cache.info(detail=True), indent=2, sort_keys=True))
             return 0
         info = cache.info()
         print(f"cache root: {info['root']}")
-        print(f"backend:    {info['backend']} ({info['location']})")
         print(f"entries:    {info['entries']}")
         print(f"size:       {info['bytes'] / 1e6:.2f} MB")
         shards = info.get("shards") or {}
@@ -435,16 +393,6 @@ def _run_cache_action(args: argparse.Namespace, cache: ResultCache) -> int:
         for kind, count in sorted(info["kinds"].items()):
             size = info["kind_bytes"].get(kind, 0)
             print(f"  {kind}: {count} ({size / 1e6:.2f} MB)")
-        if info.get("ttl_s") is not None or info.get("max_entries") is not None:
-            print(
-                f"retention:  ttl_s={info.get('ttl_s')} "
-                f"max_entries={info.get('max_entries')}"
-            )
-        if info.get("expired") or info.get("evictions"):
-            print(
-                f"retired:    {info.get('expired', 0)} expired, "
-                f"{info.get('evictions', 0)} evicted"
-            )
         corrupt = info["corrupt_entries"]
         print(
             f"corrupt:    {corrupt} quarantined "
@@ -470,17 +418,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve.http import serve as serve_async
     from .serve.service import ServiceConfig
 
-    if args.shards:
-        return _serve_cluster(args)
-
     config = ServiceConfig(
         backend=args.backend,
         cache_dir=args.cache_dir,
         max_inflight=args.max_inflight,
         queue_limit=args.queue_limit,
         deadline_s=args.deadline,
-        ttl_s=args.ttl,
-        max_entries=args.max_entries,
     )
 
     def ready(server) -> None:
@@ -505,130 +448,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_cluster(args: argparse.Namespace) -> int:
-    """``repro serve --shards N``: N shard processes behind a router.
-
-    Shard ``i`` is a child ``repro serve`` on ``port + 1 + i`` sharing
-    the cluster's ``--cache-dir``; the router listens on ``--port``.
-    Shard pids are printed so an operator (or the CI chaos job) can
-    SIGKILL one and watch the fabric fail over.
-    """
-    import asyncio
-    import subprocess
-    import time as time_mod
-
-    from .serve.cluster import ClusterConfig, ClusterRouter, spawn_shards
-    from .serve.http import serve_service
-
-    extra = [
-        "--queue-limit", str(args.queue_limit),
-        "--deadline", str(args.deadline),
-    ]
-    if args.ttl is not None:
-        extra += ["--ttl", str(args.ttl)]
-    if args.max_entries is not None:
-        extra += ["--max-entries", str(args.max_entries)]
-    if args.warm is not None:
-        extra += ["--warm", args.warm]
-    processes = spawn_shards(
-        args.shards,
-        args.port + 1,
-        host=args.host,
-        backend=args.backend,
-        cache_dir=args.cache_dir,
-        max_inflight=args.max_inflight,
-        extra_args=extra,
-    )
-    urls = [
-        f"http://{args.host}:{args.port + 1 + index}"
-        for index in range(args.shards)
-    ]
-    for process, url in zip(processes, urls):
-        print(f"shard pid={process.pid} url={url}", flush=True)
-
-    async def main() -> None:
-        from .errors import MessError
-        from .serve.client import ServiceClient
-
-        deadline = time_mod.monotonic() + 60.0
-        for url in urls:
-            client = ServiceClient(url)
-            try:
-                while True:
-                    try:
-                        await client.healthz()
-                        break
-                    except (ConnectionError, OSError, MessError):
-                        if time_mod.monotonic() > deadline:
-                            raise
-                        await asyncio.sleep(0.1)
-            finally:
-                await client.close()
-        router = ClusterRouter(
-            urls,
-            ClusterConfig(
-                hedge=args.hedge,
-                deadline_s=args.deadline,
-                queue_limit=args.queue_limit,
-            ),
-        )
-
-        def ready(server) -> None:
-            print(
-                f"routing on {server.url} over {len(urls)} shards "
-                f"(backend {args.backend}, hedge {args.hedge})",
-                flush=True,
-            )
-
-        await serve_service(router, host=args.host, port=args.port, ready=ready)
-
-    try:
-        asyncio.run(main())
-    except KeyboardInterrupt:
-        print("shutting down")
-    finally:
-        for process in processes:
-            process.terminate()
-        for process in processes:
-            try:
-                process.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                process.kill()
-    return 0
-
-
-def _cmd_route(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from .serve.cluster import ClusterConfig, ClusterRouter
-    from .serve.http import serve_service
-
-    router = ClusterRouter(
-        args.shard,
-        ClusterConfig(
-            hedge=args.hedge,
-            hedge_delay_ms=args.hedge_delay_ms,
-            max_inflight=args.max_inflight,
-            queue_limit=args.queue_limit,
-            deadline_s=args.deadline,
-        ),
-    )
-
-    def ready(server) -> None:
-        print(
-            f"routing on {server.url} over {len(args.shard)} shards",
-            flush=True,
-        )
-
-    try:
-        asyncio.run(
-            serve_service(router, host=args.host, port=args.port, ready=ready)
-        )
-    except KeyboardInterrupt:
-        print("shutting down")
-    return 0
-
-
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     from .serve.loadgen import LoadgenConfig, run_loadgen
 
@@ -642,8 +461,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         url=args.url,
         max_inflight=args.max_inflight,
-        shards=args.shards,
-        hedge=args.hedge,
     )
     report = run_loadgen(config)
     for entry in report["passes"]:
@@ -1088,29 +905,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=None, help="override the on-disk cache location"
     )
     cache_parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "cache backend or comma-separated tier stack: dir, sqlite, "
-            "memory, tiered (default: dir)"
-        ),
-    )
-    cache_parser.add_argument(
-        "--ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="sqlite-tier entry TTL; older entries expire on read",
-    )
-    cache_parser.add_argument(
-        "--max-entries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="sqlite-tier high-water mark; oldest entries evict on write",
-    )
-    cache_parser.add_argument(
         "--json",
         action="store_true",
         help="machine-readable `info` output with per-entry sizes",
@@ -1135,7 +929,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="tiered",
         metavar="SPEC",
         help=(
-            "cache backend or tier stack: dir, sqlite, memory, tiered "
+            "cache backend or tier stack: dir, memory, tiered "
             "(default: tiered = memory,dir)"
         ),
     )
@@ -1164,97 +958,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-request deadline; exceeded requests get 504 (default 60)",
     )
     serve_parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "boot a cluster: N shard processes on ports PORT+1..PORT+N "
-            "behind a digest-range router on PORT (default 0 = one process)"
-        ),
-    )
-    serve_parser.add_argument(
-        "--hedge",
-        action="store_true",
-        help="with --shards: race a second shard after the p99-derived delay",
-    )
-    serve_parser.add_argument(
         "--warm",
         default=None,
         metavar="MANIFEST",
         help="pre-seed the cache from a `repro run` manifest before serving",
     )
-    serve_parser.add_argument(
-        "--ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="sqlite-tier entry TTL; older entries expire on read",
-    )
-    serve_parser.add_argument(
-        "--max-entries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="sqlite-tier high-water mark; oldest entries evict on write",
-    )
     serve_parser.set_defaults(func=_cmd_serve)
-
-    route_parser = commands.add_parser(
-        "route",
-        help="route requests across running serve shards by digest range",
-    )
-    route_parser.add_argument(
-        "--shard",
-        action="append",
-        required=True,
-        metavar="URL",
-        help="shard base URL; repeat once per shard (order fixes the ring)",
-    )
-    route_parser.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
-    )
-    route_parser.add_argument(
-        "--port",
-        type=int,
-        default=8650,
-        metavar="P",
-        help="listen port (default 8650; 0 picks an ephemeral port)",
-    )
-    route_parser.add_argument(
-        "--hedge",
-        action="store_true",
-        help="race a second shard after the hedge delay",
-    )
-    route_parser.add_argument(
-        "--hedge-delay-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="fixed hedge delay (default: derived from observed p99)",
-    )
-    route_parser.add_argument(
-        "--max-inflight",
-        type=int,
-        default=32,
-        metavar="N",
-        help="concurrent forwarded requests (default 32)",
-    )
-    route_parser.add_argument(
-        "--queue-limit",
-        type=int,
-        default=256,
-        metavar="N",
-        help="waiting requests before rejecting with 429 (default 256)",
-    )
-    route_parser.add_argument(
-        "--deadline",
-        type=float,
-        default=60.0,
-        metavar="SECONDS",
-        help="per-request deadline; exceeded requests get 504 (default 60)",
-    )
-    route_parser.set_defaults(func=_cmd_route)
 
     loadgen_parser = commands.add_parser(
         "loadgen",
@@ -1317,21 +1026,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="URL",
         help="replay against a running `repro serve` instead",
-    )
-    loadgen_parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "replay against a private in-process N-shard cluster "
-            "(default 0 = single in-process server)"
-        ),
-    )
-    loadgen_parser.add_argument(
-        "--hedge",
-        action="store_true",
-        help="with --shards: enable hedged reads on the router",
     )
     loadgen_parser.add_argument(
         "--json",

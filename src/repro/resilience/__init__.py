@@ -27,7 +27,6 @@ from .failures import (
     FAILURE_KINDS,
     TRANSIENT_KINDS,
     DeadlineExceededError,
-    ShardUnavailableError,
     WorkerCrashError,
     classify_failure,
     is_transient,
@@ -49,7 +48,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "RetryPolicy",
-    "ShardUnavailableError",
     "WorkerCrashError",
     "activation",
     "classify_failure",

@@ -11,9 +11,8 @@ is therefore classified into exactly one of five kinds:
   terminated (:class:`DeadlineExceededError`).
 - ``cache-error`` — the result cache failed in a way that was surfaced
   rather than degraded (:class:`repro.errors.CacheError`).
-- ``unavailable`` — a remote peer could not be reached or dropped the
-  connection mid-exchange (:class:`ConnectionError`,
-  :class:`ShardUnavailableError`): the serving fabric's RPC failures.
+- ``unavailable`` — a remote peer could not be reached, dropped the
+  connection mid-exchange (:class:`ConnectionError`) or answered 5xx.
   Transient by nature — the peer may be restarting, draining, or
   briefly partitioned.
 - ``model-error`` — the experiment itself raised: bad options, a
@@ -62,20 +61,6 @@ class DeadlineExceededError(MessError):
     """
 
 
-class ShardUnavailableError(MessError):
-    """A shard of the serving fabric cannot take this request.
-
-    Raised by the cluster router when a shard's circuit breaker is
-    open, its health probe has marked it down, or an RPC to it failed
-    in a way that says "peer gone" rather than "request bad". Carries
-    an HTTP-style 503 so the transport layer maps it without a lookup
-    table. Classified ``unavailable`` — transient, safe to retry or
-    fail over.
-    """
-
-    status = 503
-
-
 def classify_failure(exc: BaseException) -> str:
     """Map any exception to exactly one failure kind.
 
@@ -93,7 +78,7 @@ def classify_failure(exc: BaseException) -> str:
         return "crash"
     if isinstance(exc, CacheError):
         return "cache-error"
-    if isinstance(exc, (ShardUnavailableError, ConnectionError)):
+    if isinstance(exc, ConnectionError):
         return "unavailable"
     # an HTTP peer answering 5xx is the peer failing, not the request:
     # duck-typed on `status` so this module never imports the serve

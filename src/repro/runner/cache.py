@@ -8,15 +8,14 @@ stable hash of the *complete* configuration plus the package version —
 change any sweep parameter, system knob or the code version and the key
 changes with it.
 
-Storage itself lives behind the pluggable
-:class:`repro.serve.backends.CacheBackend` interface (atomic writes,
-quarantine-on-corruption, digest-sharded layout); :class:`ResultCache`
-adds the runner-facing concerns on top — key derivation folding in the
-package version, the process-global activation switch, and the
-directory-backend default that keeps ``repro run`` and ``repro serve``
-sharing entries. The design rules (atomic writes, corruption is never
-fatal, write failures degrade to "no cache") are stated and enforced in
-the backends module.
+Storage itself is a :class:`repro.serve.backends.DirectoryBackend`
+(atomic writes, quarantine-on-corruption, digest-sharded layout) —
+the same store ``repro serve`` reads, so the two share entries.
+:class:`ResultCache` adds the runner-facing concerns on top — key
+derivation folding in the package version and the process-global
+activation switch. The design rules (atomic writes, corruption is
+never fatal, write failures degrade to "no cache") are stated and
+enforced in the backends module.
 
 The default location is ``~/.cache/repro-mess``; override it with the
 ``REPRO_CACHE_DIR`` environment variable or ``--cache-dir`` on the CLI.
@@ -67,32 +66,18 @@ def stable_digest(payload: object) -> str:
 
 
 class ResultCache:
-    """A content-addressed store of JSON payloads behind one backend.
+    """A content-addressed store of JSON payloads on disk.
 
-    By default entries live in a sharded directory tree
-    (``<root>/<key[:2]>/<key>.json``); pass any
-    :class:`~repro.serve.backends.CacheBackend` as ``backend`` to store
-    them elsewhere (sqlite, in-memory LRU, or a tiered stack) with
-    identical get/put/quarantine semantics.
+    Entries live in a sharded directory tree
+    (``<root>/<key[:2]>/<key>.json``) managed by a
+    :class:`~repro.serve.backends.DirectoryBackend`.
     """
 
-    def __init__(
-        self,
-        root: str | Path | None = None,
-        backend: "object | None" = None,
-    ) -> None:
-        from ..serve.backends import CacheBackend, DirectoryBackend
+    def __init__(self, root: str | Path | None = None) -> None:
+        from ..serve.backends import DirectoryBackend
 
         self.root = Path(root).expanduser() if root else default_cache_dir()
-        if backend is None:
-            backend = DirectoryBackend(self.root)
-        elif not isinstance(backend, CacheBackend):
-            raise TypeError(
-                f"backend must be a CacheBackend, got {type(backend).__name__}"
-            )
-        elif isinstance(backend, DirectoryBackend):
-            self.root = backend.root
-        self.backend: CacheBackend = backend
+        self.backend = DirectoryBackend(self.root)
 
     # ------------------------------------------------------------------
     # Counters (owned by the backend; mirrored for the runner/tests)
@@ -137,18 +122,8 @@ class ResultCache:
         )
 
     def path_for(self, key: str) -> Path:
-        """On-disk location of the entry for ``key``.
-
-        Only meaningful for directory-backed caches (the default); for
-        other backends this is where a directory backend *would* put
-        the entry — fault injection and tests use it to reach behind
-        the cache API.
-        """
-        from ..serve.backends import DirectoryBackend
-
-        if isinstance(self.backend, DirectoryBackend):
-            return self.backend.path_for(key)
-        return self.root / key[:2] / f"{key}.json"
+        """On-disk location of the entry for ``key`` (may not exist)."""
+        return self.backend.path_for(key)
 
     # Backwards-compatible internal alias.
     _path = path_for
@@ -171,19 +146,12 @@ class ResultCache:
     def quarantine(self, key: str) -> Path | None:
         """Move a corrupt entry aside instead of silently deleting it.
 
-        Directory backends rename the entry to ``<entry>.json.corrupt``
-        and return the new path; other backends preserve the bad bytes
-        in their own quarantine area and return ``None``. Emits a
+        The entry is renamed to ``<entry>.json.corrupt`` and the new
+        path returned (``None`` when the rename failed). Emits a
         ``cache.corrupt_quarantined`` telemetry counter and a
         ``cache.quarantined`` event when a registry is active.
         """
-        from ..serve.backends import DirectoryBackend
-
-        if isinstance(self.backend, DirectoryBackend):
-            return self.backend.quarantine(key)
-        self.backend.discard(key)
-        self.backend._quarantined_one(key)
-        return None
+        return self.backend.quarantine(key)
 
     def put(self, key: str, payload: dict | list, kind: str = "") -> bool:
         """Store ``payload`` under ``key`` atomically; False on failure."""
@@ -198,26 +166,19 @@ class ResultCache:
     # ------------------------------------------------------------------
 
     def entries(self) -> Iterator[Path]:
-        """Every entry file currently in the cache (directory backends)."""
-        from ..serve.backends import DirectoryBackend
-
-        if isinstance(self.backend, DirectoryBackend):
-            yield from self.backend.entries()
+        """Every entry file currently in the cache."""
+        return self.backend.entries()
 
     def corrupt_entries(self) -> Iterator[Path]:
-        """Every quarantined entry file in the cache (directory backends)."""
-        from ..serve.backends import DirectoryBackend
-
-        if isinstance(self.backend, DirectoryBackend):
-            yield from self.backend.corrupt_entries()
+        """Every quarantined entry file in the cache."""
+        return self.backend.corrupt_entries()
 
     def info(self, detail: bool = False) -> dict:
         """Summary statistics: backend, location, entries, shards, kinds.
 
-        Reports uniformly across backends: ``backend`` (type),
-        ``location``, entry/byte counts per kind, a ``shards``
-        distribution summary over the digest-prefix shards, and
-        quarantined-entry counts (``corrupt_entries`` /
+        Reports ``backend`` (type), ``root``, entry/byte counts per
+        kind, a ``shards`` distribution summary over the digest-prefix
+        shards, and quarantined-entry counts (``corrupt_entries`` /
         ``corrupt_bytes``) — a non-zero quarantine count means
         corruption was detected and survived, which is worth knowing
         even though the run itself recovered. With ``detail``, an
@@ -226,17 +187,11 @@ class ResultCache:
         the machine-readable breakdown behind
         ``repro cache info --json``.
         """
-        info = self.backend.info(detail=detail)
-        info.setdefault("root", str(self.root))
-        return info
+        return self.backend.info(detail=detail)
 
     def clear(self) -> int:
         """Delete every entry (quarantined included); returns the count."""
         return self.backend.clear()
-
-    def close(self) -> None:
-        """Release backend resources (sqlite connections, write-backs)."""
-        self.backend.close()
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,13 @@
 """repro.serve: the async digest-keyed characterization service.
 
 The scenario layer makes every run a pure function of its spec digest;
-this package turns that into a read-mostly service: tiered cache
-backends (:mod:`.backends`), single-flight request coalescing
+this package turns that into a read-mostly service: cache backends
+(:mod:`.backends`), single-flight request coalescing
 (:mod:`.singleflight`), the transport-independent service core with
 backpressure/deadlines/retries (:mod:`.service`), a stdlib asyncio
-HTTP front end and pooled client (:mod:`.http`, :mod:`.client`), a
-deterministic load generator (:mod:`.loadgen`), and the sharded
-fabric — health probing (:mod:`.health`), per-shard circuit breakers
-(:mod:`.breaker`) and the digest-range router (:mod:`.cluster`).
+HTTP front end and pooled client (:mod:`.http`, :mod:`.client`) and a
+deterministic load generator (:mod:`.loadgen`). One process serves one
+cache.
 
 Only the backends are imported eagerly — the runner's result cache
 delegates its storage here, and constructing a cache must not drag in
@@ -24,7 +23,6 @@ from .backends import (
     CacheBackend,
     DirectoryBackend,
     MemoryLRUBackend,
-    SqliteBackend,
     TieredBackend,
     make_backend,
 )
@@ -35,20 +33,11 @@ _LAZY = {
     "ServiceConfig": "service",
     "warm_from_manifest": "service",
     "HttpServer": "http",
-    "serve_service": "http",
     "ServiceClient": "client",
     "ConnectionPool": "client",
     "LoadgenConfig": "loadgen",
     "run_loadgen": "loadgen",
     "loadgen_scenarios": "loadgen",
-    "CircuitBreaker": "breaker",
-    "HealthMonitor": "health",
-    "ShardHealth": "health",
-    "ClusterConfig": "cluster",
-    "ClusterRouter": "cluster",
-    "LocalCluster": "cluster",
-    "owner_shard": "cluster",
-    "spawn_shards": "cluster",
 }
 
 __all__ = [
@@ -56,7 +45,6 @@ __all__ = [
     "CacheBackend",
     "DirectoryBackend",
     "MemoryLRUBackend",
-    "SqliteBackend",
     "TieredBackend",
     "backends",
     "make_backend",

@@ -1,25 +1,21 @@
-"""Pluggable cache backends: one storage contract, three stores, one stack.
+"""Cache backends: one storage contract, two stores, one stack.
 
 The scenario layer made every run a pure function of its spec — the
 digest is the identity — and the runner's on-disk store made results
-content-addressed. This module generalizes that store into a
+content-addressed. This module states that store as a
 :class:`CacheBackend` contract so the same digest-keyed payloads can
-live in any of three places:
+live in either of two places:
 
-- :class:`DirectoryBackend` — the original content-addressed directory
-  tree (``<root>/<key[:2]>/<key>.json``, atomic writes, quarantine on
-  corruption). This is the code that used to live inside
-  :class:`repro.runner.cache.ResultCache`; the runner now delegates to
+- :class:`DirectoryBackend` — the content-addressed directory tree
+  (``<root>/<key[:2]>/<key>.json``, atomic writes, quarantine on
+  corruption). :class:`repro.runner.cache.ResultCache` delegates to
   it, so there is exactly one atomic-write path in the repository.
-- :class:`SqliteBackend` — the same entries in a single sqlite file
-  (one row per digest, sharded by digest prefix), for deployments where
-  millions of small files are the bottleneck.
 - :class:`MemoryLRUBackend` — a bounded in-process LRU tier, the hot
-  set in front of a durable store.
+  set in front of the durable store.
 
-:class:`TieredBackend` composes any of them into a read-through /
-write-back stack: reads try each tier in order and promote hits
-upward; writes land in the fastest tier immediately and flush down.
+:class:`TieredBackend` composes them into a read-through / write-back
+stack: reads try each tier in order and promote hits upward; writes
+land in the fastest tier immediately and flush down.
 
 Contract rules (inherited from the runner's cache and kept by every
 backend):
@@ -27,8 +23,8 @@ backend):
 - **get never raises.** A missing, unreadable or corrupt entry is a
   miss; corruption is quarantined (the evidence survives for ``repro
   cache info``) and counted, never fatal.
-- **put never raises.** A full disk or locked database degrades to
-  "no cache" (``False``), not to an error.
+- **put never raises.** A full disk degrades to "no cache" (``False``),
+  not to an error.
 - **Digest-identical everywhere.** A payload written through one
   backend and read through another is byte-for-byte the same JSON
   value; the round-trip suite in ``tests/serve`` enforces this.
@@ -38,10 +34,8 @@ from __future__ import annotations
 
 import json
 import os
-import sqlite3
 import tempfile
 import threading
-import time
 from collections import OrderedDict
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -52,15 +46,12 @@ from ..telemetry import registry as telemetry_mod
 #: Suffix appended to a corrupt entry's filename when it is quarantined.
 CORRUPT_SUFFIX = ".corrupt"
 
-#: Digest prefix length used for sharding (directory fan-out / sqlite
-#: shard column). Two hex chars -> 256 shards.
+#: Digest prefix length used for sharding (directory fan-out). Two hex
+#: chars -> 256 shards.
 SHARD_CHARS = 2
 
 #: Default entry bound of the in-memory LRU tier.
 DEFAULT_LRU_ENTRIES = 1024
-
-#: Filename of the sqlite store inside a cache root directory.
-SQLITE_FILENAME = "cache.sqlite"
 
 
 def _count_quarantine(key: str) -> None:
@@ -82,7 +73,7 @@ class CacheBackend:
     same thing regardless of backend.
     """
 
-    #: Short machine-readable backend kind (``dir`` / ``sqlite`` / ...).
+    #: Short machine-readable backend kind (``dir`` / ``memory`` / ...).
     kind: str = "abstract"
 
     def __init__(self) -> None:
@@ -124,7 +115,7 @@ class CacheBackend:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release any held resources (connections, locks)."""
+        """Release any held resources (pending write-backs)."""
 
     # -- shared accounting ----------------------------------------------
 
@@ -333,343 +324,6 @@ class DirectoryBackend(CacheBackend):
         return removed
 
 
-class SqliteBackend(CacheBackend):
-    """Digest-keyed entries in one sqlite file.
-
-    One row per digest, sharded by digest prefix in a dedicated column
-    (so shard distribution is one ``GROUP BY`` away). Corrupt payloads
-    are moved into a ``quarantine`` table on read — same evidence-
-    preserving semantics as the directory backend's ``*.corrupt``
-    files. A single connection guarded by a lock keeps the backend
-    usable from the server's executor threads.
-
-    Retention is optional and layered on the write timestamp each row
-    carries:
-
-    - ``ttl_s`` expires entries lazily on read: a row older than the
-      TTL is deleted and reported as a miss. Rows migrated from a
-      pre-timestamp database carry ``created_at = 0`` and are exempt
-      (age unknown is not age infinite).
-    - ``max_entries`` is a high-water mark enforced on write: when an
-      insert pushes the table over the bound, the oldest rows (by
-      ``created_at``, then key) are evicted back down to it.
-
-    Both are counted in memory *and* persisted in a ``meta`` table, so
-    ``repro cache info`` reports lifetime ``expired`` / ``evictions``
-    totals across process restarts — retention that silently loses
-    entries without a ledger is indistinguishable from corruption.
-    """
-
-    kind = "sqlite"
-
-    _SCHEMA = """
-    CREATE TABLE IF NOT EXISTS entries (
-        key TEXT PRIMARY KEY,
-        shard TEXT NOT NULL,
-        kind TEXT NOT NULL DEFAULT '',
-        payload TEXT NOT NULL,
-        created_at REAL NOT NULL DEFAULT 0
-    );
-    CREATE INDEX IF NOT EXISTS entries_shard ON entries (shard);
-    CREATE INDEX IF NOT EXISTS entries_created ON entries (created_at);
-    CREATE TABLE IF NOT EXISTS quarantine (
-        key TEXT PRIMARY KEY,
-        payload TEXT NOT NULL
-    );
-    CREATE TABLE IF NOT EXISTS meta (
-        key TEXT PRIMARY KEY,
-        value REAL NOT NULL
-    );
-    """
-
-    def __init__(
-        self,
-        path: "str | Path",
-        *,
-        ttl_s: "float | None" = None,
-        max_entries: "int | None" = None,
-    ) -> None:
-        super().__init__()
-        if ttl_s is not None and ttl_s <= 0:
-            raise ConfigurationError(f"ttl_s must be positive, got {ttl_s}")
-        if max_entries is not None and max_entries < 1:
-            raise ConfigurationError(
-                f"max_entries must be >= 1, got {max_entries}"
-            )
-        self.path = Path(path).expanduser()
-        self.ttl_s = ttl_s
-        self.max_entries = max_entries
-        self.expired = 0
-        self.evictions = 0
-        #: Injection point for the TTL tests; wall clock in production.
-        self._clock = time.time
-        self._lock = threading.Lock()
-        self._conn: "sqlite3.Connection | None" = None
-
-    @property
-    def location(self) -> str:
-        return str(self.path)
-
-    def _connection(self) -> sqlite3.Connection:
-        # opened lazily so constructing a backend never touches the disk
-        if self._conn is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            conn = sqlite3.connect(str(self.path), check_same_thread=False)
-            conn.executescript(self._SCHEMA)
-            try:
-                # migrate pre-timestamp databases in place
-                conn.execute(
-                    "ALTER TABLE entries ADD COLUMN "
-                    "created_at REAL NOT NULL DEFAULT 0"
-                )
-            except sqlite3.Error:
-                pass  # column already exists
-            conn.commit()
-            for meta_key, attr in (("expired", "expired"),
-                                   ("evicted", "evictions")):
-                try:
-                    row = conn.execute(
-                        "SELECT value FROM meta WHERE key = ?", (meta_key,)
-                    ).fetchone()
-                except sqlite3.Error:
-                    row = None
-                if row is not None:
-                    setattr(self, attr, int(row[0]))
-            self._conn = conn
-        return self._conn
-
-    def _bump_meta_locked(self, meta_key: str, delta: int) -> None:
-        """Persist a retention counter increment (lock held, best effort)."""
-        try:
-            self._connection().execute(
-                "INSERT INTO meta (key, value) VALUES (?, ?) "
-                "ON CONFLICT(key) DO UPDATE SET value = value + ?",
-                (meta_key, delta, delta),
-            )
-        except sqlite3.Error:
-            pass
-
-    def _do_get(self, key: str) -> "dict | list | None":
-        with self._lock:
-            try:
-                row = (
-                    self._connection()
-                    .execute(
-                        "SELECT payload, created_at FROM entries "
-                        "WHERE key = ?",
-                        (key,),
-                    )
-                    .fetchone()
-                )
-            except sqlite3.Error:
-                return None
-            if row is None:
-                return None
-            blob, created_at = row
-            if (
-                self.ttl_s is not None
-                and created_at
-                and self._clock() - created_at > self.ttl_s
-            ):
-                try:
-                    conn = self._connection()
-                    conn.execute(
-                        "DELETE FROM entries WHERE key = ?", (key,)
-                    )
-                    self.expired += 1
-                    self._bump_meta_locked("expired", 1)
-                    conn.commit()
-                except sqlite3.Error:
-                    pass
-                return None
-            try:
-                payload = json.loads(blob)
-            except (ValueError, TypeError):
-                self._quarantine_locked(key, blob)
-                return None
-            if not isinstance(payload, (dict, list)):
-                self._quarantine_locked(key, blob)
-                return None
-            return payload
-
-    def purge_expired(self) -> int:
-        """Eagerly delete every expired row; returns the count removed."""
-        if self.ttl_s is None:
-            return 0
-        cutoff = self._clock() - self.ttl_s
-        with self._lock:
-            try:
-                conn = self._connection()
-                count = conn.execute(
-                    "SELECT COUNT(*) FROM entries "
-                    "WHERE created_at > 0 AND created_at < ?",
-                    (cutoff,),
-                ).fetchone()[0]
-                if count:
-                    conn.execute(
-                        "DELETE FROM entries "
-                        "WHERE created_at > 0 AND created_at < ?",
-                        (cutoff,),
-                    )
-                    self.expired += count
-                    self._bump_meta_locked("expired", count)
-                    conn.commit()
-                return int(count)
-            except sqlite3.Error:
-                return 0
-
-    def _quarantine_locked(self, key: str, blob: str) -> None:
-        """Move a corrupt row into the quarantine table (lock held)."""
-        try:
-            conn = self._connection()
-            conn.execute(
-                "INSERT OR REPLACE INTO quarantine (key, payload) "
-                "VALUES (?, ?)",
-                (key, blob),
-            )
-            conn.execute("DELETE FROM entries WHERE key = ?", (key,))
-            conn.commit()
-        except sqlite3.Error:
-            pass
-        self._quarantined_one(key)
-
-    def _do_put(self, key: str, payload: "dict | list", kind: str) -> bool:
-        blob = json.dumps(payload)
-        with self._lock:
-            try:
-                conn = self._connection()
-                conn.execute(
-                    "INSERT OR REPLACE INTO entries "
-                    "(key, shard, kind, payload, created_at) "
-                    "VALUES (?, ?, ?, ?, ?)",
-                    (key, key[:SHARD_CHARS], kind, blob, self._clock()),
-                )
-                self._evict_over_high_water_locked(conn)
-                conn.commit()
-                return True
-            except sqlite3.Error:
-                return False
-
-    def _evict_over_high_water_locked(self, conn: sqlite3.Connection) -> None:
-        """Evict oldest rows past ``max_entries`` (lock held, pre-commit)."""
-        if self.max_entries is None:
-            return
-        count = conn.execute("SELECT COUNT(*) FROM entries").fetchone()[0]
-        over = int(count) - self.max_entries
-        if over <= 0:
-            return
-        conn.execute(
-            "DELETE FROM entries WHERE key IN ("
-            "SELECT key FROM entries ORDER BY created_at ASC, key ASC "
-            "LIMIT ?)",
-            (over,),
-        )
-        self.evictions += over
-        self._bump_meta_locked("evicted", over)
-
-    def discard(self, key: str) -> None:
-        with self._lock:
-            try:
-                conn = self._connection()
-                conn.execute("DELETE FROM entries WHERE key = ?", (key,))
-                conn.commit()
-            except sqlite3.Error:
-                pass
-
-    def keys(self) -> Iterator[str]:
-        with self._lock:
-            try:
-                rows = (
-                    self._connection()
-                    .execute("SELECT key FROM entries ORDER BY key")
-                    .fetchall()
-                )
-            except sqlite3.Error:
-                return iter(())
-        return iter([row[0] for row in rows])
-
-    def info(self, detail: bool = False) -> dict:
-        entry_rows: list = []
-        corrupt_rows: list = []
-        with self._lock:
-            try:
-                conn = self._connection()
-                entry_rows = conn.execute(
-                    "SELECT key, shard, kind, LENGTH(payload) FROM entries"
-                ).fetchall()
-                corrupt_rows = conn.execute(
-                    "SELECT key, LENGTH(payload) FROM quarantine"
-                ).fetchall()
-            except sqlite3.Error:
-                pass
-        kinds: dict[str, int] = {}
-        kind_bytes: dict[str, int] = {}
-        shard_counts: dict[str, int] = {}
-        total = 0
-        entry_list: list[dict] = []
-        for key, shard, kind, size in entry_rows:
-            kind = kind or "unknown"
-            size = int(size or 0)
-            total += size
-            kinds[kind] = kinds.get(kind, 0) + 1
-            kind_bytes[kind] = kind_bytes.get(kind, 0) + size
-            shard_counts[shard] = shard_counts.get(shard, 0) + 1
-            if detail:
-                entry_list.append({"key": key, "kind": kind, "bytes": size})
-        corrupt_bytes = sum(int(size or 0) for _key, size in corrupt_rows)
-        info = {
-            "backend": self.kind,
-            "location": self.location,
-            "entries": len(entry_rows),
-            "bytes": total,
-            "kinds": kinds,
-            "kind_bytes": kind_bytes,
-            "shards": self._shard_summary(shard_counts),
-            "corrupt_entries": len(corrupt_rows),
-            "corrupt_bytes": corrupt_bytes,
-            "ttl_s": self.ttl_s,
-            "max_entries": self.max_entries,
-            "expired": self.expired,
-            "evictions": self.evictions,
-        }
-        if detail:
-            entry_list.sort(key=lambda entry: (-entry["bytes"], entry["key"]))
-            info["entry_list"] = entry_list
-            info["corrupt_list"] = sorted(
-                (
-                    {"key": key, "bytes": int(size or 0)}
-                    for key, size in corrupt_rows
-                ),
-                key=lambda entry: entry["key"],
-            )
-            info["shard_counts"] = dict(sorted(shard_counts.items()))
-        return info
-
-    def clear(self) -> int:
-        with self._lock:
-            try:
-                conn = self._connection()
-                count = conn.execute("SELECT COUNT(*) FROM entries").fetchone()[0]
-                count += conn.execute(
-                    "SELECT COUNT(*) FROM quarantine"
-                ).fetchone()[0]
-                conn.execute("DELETE FROM entries")
-                conn.execute("DELETE FROM quarantine")
-                conn.commit()
-                return int(count)
-            except sqlite3.Error:
-                return 0
-
-    def close(self) -> None:
-        with self._lock:
-            if self._conn is not None:
-                try:
-                    self._conn.close()
-                except sqlite3.Error:
-                    pass
-                self._conn = None
-
-
 class MemoryLRUBackend(CacheBackend):
     """A bounded in-process LRU tier.
 
@@ -812,32 +466,18 @@ class TieredBackend(CacheBackend):
     ``get`` tries each tier in order; a hit at tier *i* is promoted
     into every faster tier before returning, so the hot set migrates
     upward on its own. ``put`` lands in the fastest tier immediately
-    and, under the default write-back policy, queues the write for the
-    slower tiers — :meth:`flush` (called by the service after each
-    compute, and by :meth:`close`) drains the queue. With
-    ``write_policy="write-through"`` every put goes to all tiers
-    synchronously.
+    and queues the write for the slower tiers — :meth:`flush` (called
+    by the service after each compute, and by :meth:`close`) drains
+    the queue.
     """
 
     kind = "tiered"
 
-    _POLICIES = ("write-back", "write-through")
-
-    def __init__(
-        self,
-        tiers: Sequence[CacheBackend],
-        write_policy: str = "write-back",
-    ) -> None:
+    def __init__(self, tiers: Sequence[CacheBackend]) -> None:
         super().__init__()
         if not tiers:
             raise ConfigurationError("a tiered backend needs at least one tier")
-        if write_policy not in self._POLICIES:
-            raise ConfigurationError(
-                f"write_policy: expected one of {list(self._POLICIES)}, "
-                f"got {write_policy!r}"
-            )
         self.tiers = list(tiers)
-        self.write_policy = write_policy
         self.promotions = 0
         self._lock = threading.Lock()
         #: write-back queue: key -> (payload, kind), insertion-ordered.
@@ -862,10 +502,6 @@ class TieredBackend(CacheBackend):
 
     def _do_put(self, key: str, payload: "dict | list", kind: str) -> bool:
         stored = self.tiers[0].put(key, payload, kind)
-        if self.write_policy == "write-through":
-            for tier in self.tiers[1:]:
-                stored = tier.put(key, payload, kind) or stored
-            return stored
         if len(self.tiers) > 1:
             with self._lock:
                 self._pending[key] = (payload, kind)
@@ -918,7 +554,6 @@ class TieredBackend(CacheBackend):
                 tier["corrupt_entries"] for tier in tier_infos
             ),
             "corrupt_bytes": sum(tier["corrupt_bytes"] for tier in tier_infos),
-            "write_policy": self.write_policy,
             "pending_writes": self.pending_writes,
             "promotions": self.promotions,
             "tiers": tier_infos,
@@ -942,28 +577,17 @@ class TieredBackend(CacheBackend):
 
 #: Backend spec names accepted by :func:`make_backend`; ``tiered`` is
 #: shorthand for the canonical serving stack ``memory,dir``.
-BACKEND_NAMES = ("dir", "sqlite", "memory", "tiered")
+BACKEND_NAMES = ("dir", "memory", "tiered")
 
 
-def make_backend(
-    spec: str,
-    root: "str | Path | None" = None,
-    *,
-    lru_entries: int = DEFAULT_LRU_ENTRIES,
-    write_policy: str = "write-back",
-    ttl_s: "float | None" = None,
-    max_entries: "int | None" = None,
-) -> CacheBackend:
+def make_backend(spec: str, root: "str | Path | None" = None) -> CacheBackend:
     """Build a backend (or tiered stack) from a spec string.
 
     ``spec`` is a single name or a comma-separated stack, fastest tier
-    first: ``"dir"``, ``"sqlite"``, ``"memory"``,
-    ``"memory,sqlite"``, ... The name ``"tiered"`` is shorthand for
-    ``"memory,dir"``. ``root`` locates the on-disk tiers (the sqlite
-    file is ``<root>/cache.sqlite``); it defaults to the runner's cache
-    directory, so a server and ``repro run`` share entries by default.
-    ``ttl_s`` / ``max_entries`` configure retention on the sqlite tiers
-    (see :class:`SqliteBackend`); the other backends ignore them.
+    first: ``"dir"``, ``"memory"``, ``"memory,dir"``. The name
+    ``"tiered"`` is shorthand for ``"memory,dir"``. ``root`` locates
+    the directory tier; it defaults to the runner's cache directory, so
+    a server and ``repro run`` share entries by default.
     """
     from ..runner.cache import default_cache_dir
 
@@ -977,16 +601,8 @@ def make_backend(
     for name in names:
         if name == "dir":
             tiers.append(DirectoryBackend(resolved_root))
-        elif name == "sqlite":
-            tiers.append(
-                SqliteBackend(
-                    resolved_root / SQLITE_FILENAME,
-                    ttl_s=ttl_s,
-                    max_entries=max_entries,
-                )
-            )
         elif name == "memory":
-            tiers.append(MemoryLRUBackend(max_entries=lru_entries))
+            tiers.append(MemoryLRUBackend())
         else:
             raise ConfigurationError(
                 f"unknown cache backend {name!r}; available: "
@@ -994,4 +610,4 @@ def make_backend(
             )
     if len(tiers) == 1:
         return tiers[0]
-    return TieredBackend(tiers, write_policy=write_policy)
+    return TieredBackend(tiers)

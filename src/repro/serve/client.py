@@ -2,8 +2,7 @@
 
 Speaks exactly the HTTP/1.1 subset :mod:`repro.serve.http` serves —
 request line, headers, ``Content-Length`` bodies, keep-alive — so the
-load generator, the cluster router and tests need no third-party HTTP
-stack.
+load generator and tests need no third-party HTTP stack.
 
 Connections come from a :class:`ConnectionPool`: a bounded, per-host
 store of idle keep-alive sockets. Each request checks a connection out,
@@ -14,9 +13,9 @@ retried once on the new socket, which is safe because every service
 route is idempotent (results are content-addressed).
 
 A :class:`ServiceClient` without an explicit pool owns a private
-single-connection pool — the original one-client-one-socket behaviour.
-Fan-in callers (the router, the load generator) share one pool across
-many clients so sockets are reused instead of re-dialed per request.
+single-connection pool — one client, one socket. Callers that fan out
+many clients to one host can share one pool so sockets are reused
+instead of re-dialed per request.
 """
 
 from __future__ import annotations
@@ -88,7 +87,7 @@ class ConnectionPool:
         self.max_idle_per_host = max_idle_per_host
         self._idle: "dict[tuple[str, int], list[_Connection]]" = {}
         self._closed = False
-        #: Lifetime counters, surfaced in router ``/stats``.
+        #: Lifetime counters (see :meth:`stats`).
         self.dials = 0
         self.reuses = 0
         self.stale_drops = 0

@@ -21,20 +21,17 @@ Typed service errors carry their own HTTP status
 (:func:`repro.serve.service.error_status`); anything unexpected is a
 500 with the exception type named, never a dropped connection.
 
-The server fronts anything that implements the service protocol —
-``start`` / ``close`` / ``submit`` / ``lookup`` / ``stats`` / a
-``telemetry`` registry — so the same transport serves a single-process
-:class:`~repro.serve.service.CharacterizationService` shard and the
-:class:`~repro.serve.cluster.ClusterRouter`. ``/healthz`` consults the
-service's ``health_payload()`` when it has one, answering 503 with
-``ok: false`` while draining so load balancers and the cluster health
-monitor stop routing here before the socket closes.
+The server fronts one
+:class:`~repro.serve.service.CharacterizationService`. ``/healthz``
+answers with the service's ``health_payload()``: 503 with
+``ok: false`` while draining, so a load balancer stops routing here
+before the socket closes.
 
 Graceful drain (:meth:`HttpServer.drain`, wired to SIGTERM by
 :func:`serve`): stop accepting connections, wait for requests already
 being handled, drain the service (which flushes pending cache
-write-backs), then exit 0 — killing a shard costs availability of its
-digest range for a probe interval, never a lost in-flight response.
+write-backs), then exit 0 — stopping the server never loses an
+in-flight response.
 """
 
 from __future__ import annotations
@@ -127,10 +124,7 @@ class HttpServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        summary: dict = {"drained": True}
-        service_drain = getattr(self.service, "drain", None)
-        if service_drain is not None:
-            summary = await service_drain(timeout_s=timeout_s)
+        summary = await self.service.drain(timeout_s=timeout_s)
         deadline = (
             None if timeout_s is None
             else time.monotonic() + max(0.0, timeout_s)
@@ -200,8 +194,7 @@ class HttpServer:
 
     async def _dispatch_get(self, path: str) -> "tuple[int, bytes]":
         if path == "/healthz":
-            health = getattr(self.service, "health_payload", None)
-            payload = health() if health is not None else {"ok": True}
+            payload = self.service.health_payload()
             status = 200 if payload.get("ok") else 503
             return status, _json_bytes(payload)
         if path == "/metrics":
@@ -293,22 +286,33 @@ def _error_payload(status: int, detail: str) -> "tuple[int, bytes]":
     return status, _json_bytes({"error": detail, "status": status})
 
 
-async def serve_service(
-    service: CharacterizationService,
+async def serve(
+    config: "ServiceConfig | None" = None,
     host: str = "127.0.0.1",
     port: int = 8650,
     ready: "Callable[[HttpServer], None] | None" = None,
+    warm_manifest: "str | None" = None,
     drain_timeout_s: float = 30.0,
-    install_signals: bool = True,
 ) -> None:
-    """Front ``service`` with HTTP until stopped; drain on SIGTERM.
+    """Serve until stopped; drain on SIGTERM (``repro serve``).
 
-    The shared run loop behind ``repro serve`` and ``repro route``:
-    accepts any service-protocol object (a shard service or a cluster
-    router). On SIGTERM/SIGINT the server drains — stops accepting,
-    finishes in-flight work, flushes caches — and this coroutine
-    returns normally, so the process exits 0.
+    ``warm_manifest`` pre-seeds the cache backend from a ``repro run``
+    manifest before the listening socket opens, so the first request
+    wave hits a hot cache. On SIGTERM/SIGINT the server drains — stops
+    accepting, finishes in-flight work, flushes caches — and this
+    coroutine returns normally, so the process exits 0.
     """
+    service = CharacterizationService(config)
+    if warm_manifest is not None:
+        from .service import warm_from_manifest
+
+        counts = warm_from_manifest(service.backend, warm_manifest)
+        print(
+            f"warm: {counts['warmed']} warmed, "
+            f"{counts['already_present']} already present, "
+            f"{counts['missing']} missing of {counts['records']} records",
+            flush=True,
+        )
     server = HttpServer(service, host=host, port=port)
     await server.start()
     if ready is not None:
@@ -316,14 +320,13 @@ async def serve_service(
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     installed: list[signal.Signals] = []
-    if install_signals:
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-                installed.append(signum)
-            except (NotImplementedError, RuntimeError):
-                # non-unix loops: fall back to KeyboardInterrupt
-                continue
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        try:
+            loop.add_signal_handler(signum, stop.set)
+            installed.append(signum)
+        except (NotImplementedError, RuntimeError):
+            # non-unix loops: fall back to KeyboardInterrupt
+            continue
     forever = asyncio.ensure_future(server.serve_forever())
     stopper = asyncio.ensure_future(stop.wait())
     try:
@@ -346,30 +349,3 @@ async def serve_service(
             ):
                 await task
         await server.close()
-
-
-async def serve(
-    config: "ServiceConfig | None" = None,
-    host: str = "127.0.0.1",
-    port: int = 8650,
-    ready: "Callable[[HttpServer], None] | None" = None,
-    warm_manifest: "str | None" = None,
-) -> None:
-    """Run a shard server until stopped (the ``repro serve`` entry point).
-
-    ``warm_manifest`` pre-seeds the cache backend from a ``repro run``
-    manifest before the listening socket opens, so the first request
-    wave hits a hot cache.
-    """
-    service = CharacterizationService(config)
-    if warm_manifest is not None:
-        from .service import warm_from_manifest
-
-        counts = warm_from_manifest(service.backend, warm_manifest)
-        print(
-            f"warm: {counts['warmed']} warmed, "
-            f"{counts['already_present']} already present, "
-            f"{counts['missing']} missing of {counts['records']} records",
-            flush=True,
-        )
-    await serve_service(service, host=host, port=port, ready=ready)

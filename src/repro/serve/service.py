@@ -122,12 +122,7 @@ def error_status(exc: BaseException) -> int:
 
 
 def parse_request(verb: str, spec_payload: Mapping) -> Any:
-    """Parse + validate a spec against ``verb``; 400 on any problem.
-
-    Shared by the single-process service and the cluster router — both
-    must agree on what a request *is* (and on the digest it keys) for
-    a routed request to land in the same cache entry either way.
-    """
+    """Parse + validate a spec against ``verb``; 400 on any problem."""
     from ..scenario.core import Scenario
 
     expected = VERB_KINDS.get(verb)
@@ -166,11 +161,11 @@ class ServiceConfig:
     ----------
     backend:
         Cache backend spec for :func:`~repro.serve.backends.make_backend`
-        — a name (``dir`` / ``sqlite`` / ``memory`` / ``tiered``) or a
+        — a name (``dir`` / ``memory`` / ``tiered``) or a
         comma-separated stack, fastest first. The default ``tiered``
         is an in-memory LRU in front of the shared directory store.
     cache_dir:
-        Root for the on-disk tiers; ``None`` uses the runner's default,
+        Root for the directory tier; ``None`` uses the runner's default,
         so the service answers from — and feeds — the same cache as
         ``repro run``.
     max_inflight:
@@ -184,10 +179,6 @@ class ServiceConfig:
         this long fails with ``DeadlineExceededError`` (504).
     retry:
         Policy for transient compute failures inside a flight.
-    ttl_s / max_entries:
-        Expiry and high-water eviction for sqlite tiers (see
-        :class:`~repro.serve.backends.SqliteBackend`); ignored by the
-        other backends.
     """
 
     backend: str = "tiered"
@@ -200,8 +191,6 @@ class ServiceConfig:
             max_attempts=2, base_delay_s=0.05, max_delay_s=1.0, jitter=0.5
         )
     )
-    ttl_s: "float | None" = None
-    max_entries: "int | None" = None
 
     def __post_init__(self) -> None:
         for part in self.backend.split(","):
@@ -234,10 +223,7 @@ class CharacterizationService:
     ) -> None:
         self.config = config or ServiceConfig()
         self.backend = backend if backend is not None else make_backend(
-            self.config.backend,
-            self.config.cache_dir,
-            ttl_s=self.config.ttl_s,
-            max_entries=self.config.max_entries,
+            self.config.backend, self.config.cache_dir
         )
         self.telemetry = TelemetryRegistry()
         self.flights = SingleFlight()
@@ -304,8 +290,8 @@ class CharacterizationService:
         """The ``/healthz`` body: ``ok`` flips false while draining.
 
         A draining instance answers probes before it stops answering
-        traffic, so the router's health monitor pulls its digest range
-        without a single dropped request.
+        traffic, so a load balancer stops routing here without a single
+        dropped request.
         """
         return {"ok": self.accepting, "draining": self._draining}
 
@@ -367,10 +353,6 @@ class CharacterizationService:
     # ------------------------------------------------------------------
     # Request handling
     # ------------------------------------------------------------------
-
-    def _parse(self, verb: str, spec_payload: Mapping) -> Any:
-        """Parse + validate a spec against ``verb``; 400 on any problem."""
-        return parse_request(verb, spec_payload)
 
     def _compute_sync(self, scenario: Any, key: str) -> "dict | list":
         """Cache-or-compute one scenario on an executor thread.
@@ -454,7 +436,7 @@ class CharacterizationService:
             )
         self._active += 1
         try:
-            scenario = self._parse(verb, spec_payload)
+            scenario = parse_request(verb, spec_payload)
             key = scenario.digest()
             payload = await self._offload(self.backend.get, key)
             cached = payload is not None
@@ -525,7 +507,6 @@ class CharacterizationService:
         """JSON-ready operational snapshot (the ``/stats`` endpoint)."""
         summary = self.telemetry.summary()
         return {
-            "role": "shard",
             "accepting": self.accepting,
             "draining": self._draining,
             "in_flight": self._active,
@@ -559,9 +540,12 @@ def warm_from_manifest(
     digest. Warming walks every successful record, recomputes its
     scenario digest (from ``scenario_spec`` for scenario records, from
     ``experiment_id``/``scale``/``options`` for experiment records),
-    reads the payload from ``source`` (the runner's directory cache by
-    default) and writes it through ``backend`` — so the first request
+    reads the payload from ``source`` and writes it through ``backend`` — so the first request
     wave after a deploy hits a hot cache instead of a compute storm.
+
+    ``source`` defaults to the directory cache the manifest's run wrote
+    (its recorded ``cache_dir``), or to the runner's default cache when
+    the manifest records none.
 
     Synchronous and blocking by design: it runs *before* the server
     starts accepting traffic. Returns
@@ -575,7 +559,7 @@ def warm_from_manifest(
     if source is None:
         from .backends import DirectoryBackend
 
-        source = DirectoryBackend(default_cache_dir())
+        source = DirectoryBackend(manifest.cache_dir or default_cache_dir())
     warmed = present = missing = failed = 0
     for record in manifest.records:
         if record.status != "ok":

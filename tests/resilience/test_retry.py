@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ResilienceError
 from repro.resilience import RetryPolicy, deterministic_fraction
-from repro.resilience.failures import TRANSIENT_KINDS
+from repro.resilience.failures import TRANSIENT_KINDS, classify_failure
 
 
 class TestDeterministicFraction:
@@ -70,6 +70,20 @@ class TestShouldRetry:
         policy = RetryPolicy(max_attempts=2, retry_on=("model-error",))
         assert policy.should_retry("model-error", 1)
         assert not policy.should_retry("crash", 1)
+
+
+class TestPeerFailures:
+    def test_connection_errors_and_5xx_are_unavailable(self):
+        class PeerError(Exception):
+            def __init__(self, status):
+                super().__init__(f"HTTP {status}")
+                self.status = status
+
+        assert classify_failure(ConnectionRefusedError()) == "unavailable"
+        assert classify_failure(ConnectionResetError()) == "unavailable"
+        assert classify_failure(PeerError(503)) == "unavailable"
+        # a 4xx is the request's fault: deterministic, never retried
+        assert classify_failure(PeerError(400)) == "model-error"
 
 
 class TestDelaySchedule:

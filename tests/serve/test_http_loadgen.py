@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.serve.backends import MemoryLRUBackend
-from repro.serve.client import ResponseError, ServiceClient
+from repro.serve.client import ConnectionPool, ResponseError, ServiceClient
 from repro.serve.http import HttpServer
 from repro.serve.loadgen import (
     LoadgenConfig,
@@ -117,6 +117,92 @@ class TestHttp:
 
         head = with_server(exercise)
         assert " 400 " in head.splitlines()[0]
+
+
+async def _raw_get(server, path):
+    """One ``Connection: close`` GET; returns (status, decoded body)."""
+    reader, writer = await asyncio.open_connection(server.host, server.port)
+    writer.write(
+        f"GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        .encode("latin-1")
+    )
+    await writer.drain()
+    raw = await reader.read()
+    writer.close()
+    head, _sep, body = raw.partition(b"\r\n\r\n")
+    return int(head.split(b" ", 2)[1]), json.loads(body)
+
+
+class TestDrain:
+    def test_draining_server_answers_503_then_closes(self):
+        spec = loadgen_scenarios(1)[0].to_spec()
+
+        async def exercise(server, client):
+            await client.healthz()  # parks a keep-alive connection
+            await server.service.drain(timeout_s=5.0)
+            health = await _raw_get(server, "/healthz")
+            with pytest.raises(ResponseError) as refused:
+                await client.submit("characterize", spec)
+            summary = await server.drain(timeout_s=5.0)
+            return health, refused.value.status, summary
+
+        (status, body), refused, summary = with_server(exercise)
+        assert status == 503
+        assert body == {"ok": False, "draining": True}
+        assert refused == 503
+        assert summary["drained"] is True
+        assert summary["transport_in_flight"] == 0
+
+
+class TestConnectionPool:
+    def test_keep_alive_reuses_connections(self):
+        spec = loadgen_scenarios(1)[0].to_spec()
+
+        async def exercise(server, client):
+            pool = ConnectionPool()
+            pooled = ServiceClient(server.url, pool=pool)
+            for _ in range(4):
+                await pooled.submit("characterize", spec)
+            stats = pool.stats()
+            await pool.close()
+            return stats
+
+        stats = with_server(exercise)
+        assert stats["dials"] == 1
+        assert stats["reuses"] == 3
+
+    def test_discarded_connections_redial(self):
+        async def exercise(server, client):
+            probe = ServiceClient(server.url, pool=ConnectionPool())
+            await probe.healthz()
+            await probe.pool.close()
+            # a fresh pool after close() must dial again, not explode
+            probe2 = ServiceClient(server.url, pool=ConnectionPool())
+            health = await probe2.healthz()
+            stats = probe2.pool.stats()
+            await probe2.pool.close()
+            return health, stats
+
+        health, stats = with_server(exercise)
+        assert health["ok"] is True
+        assert stats["dials"] == 1
+
+    def test_stale_idle_connection_is_dropped_and_redialed(self):
+        async def exercise(server, client):
+            pool = ConnectionPool()
+            probe = ServiceClient(server.url, pool=pool)
+            await probe.healthz()
+            for connection in pool._idle[(probe.host, probe.port)]:
+                connection.close()  # the socket dies while parked
+            health = await probe.healthz()
+            stats = pool.stats()
+            await pool.close()
+            return health, stats
+
+        health, stats = with_server(exercise)
+        assert health["ok"] is True
+        assert stats["stale_drops"] == 1
+        assert stats["dials"] == 2
 
 
 class TestLoadgen:

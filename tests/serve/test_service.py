@@ -9,7 +9,13 @@ import pytest
 from repro.errors import ConfigurationError, MessError
 from repro.experiments.base import ExperimentResult
 from repro.resilience.failures import DeadlineExceededError
-from repro.serve.backends import MemoryLRUBackend
+from repro.runner import run_many
+from repro.runner.manifest import ExperimentRecord, RunManifest
+from repro.serve.backends import (
+    DirectoryBackend,
+    MemoryLRUBackend,
+    TieredBackend,
+)
 from repro.serve.loadgen import loadgen_scenarios
 from repro.serve.service import (
     BadRequestError,
@@ -17,7 +23,9 @@ from repro.serve.service import (
     NotFoundError,
     QueueFullError,
     ServiceConfig,
+    ServiceUnavailableError,
     error_status,
+    warm_from_manifest,
 )
 
 
@@ -201,3 +209,107 @@ class TestConfigAndStats:
         stats = run_service(scenario, backend=MemoryLRUBackend())
         assert {"counters", "gauges", "histograms", "singleflight", "backend", "config"} <= set(stats)
         assert stats["backend"]["backend"] == "memory"
+
+
+class TestDrain:
+    def test_drain_waits_for_in_flight_work_then_refuses(self):
+        spec = tiny_spec()
+
+        async def scenario(service):
+            in_flight = asyncio.ensure_future(
+                service.submit("characterize", spec)
+            )
+            while service.in_flight == 0:
+                await asyncio.sleep(0.001)
+            summary = await service.drain(timeout_s=60.0)
+            served = await in_flight
+            health = service.health_payload()
+            with pytest.raises(ServiceUnavailableError) as refused:
+                await service.submit("characterize", spec)
+            return summary, served, health, refused.value, service.stats()
+
+        summary, served, health, refused, stats = run_service(
+            scenario, backend=MemoryLRUBackend()
+        )
+        assert summary["drained"] is True
+        assert summary["abandoned_in_flight"] == 0
+        assert served["cached"] is False
+        assert health == {"ok": False, "draining": True}
+        assert error_status(refused) == 503
+        assert stats["draining"] is True
+        assert stats["counters"]["serve.rejected"] == 1
+
+    def test_drain_flushes_pending_write_backs(self, tmp_path):
+        durable = DirectoryBackend(tmp_path)
+        backend = TieredBackend([MemoryLRUBackend(), durable])
+        key = "ef" * 32
+
+        async def scenario(service):
+            # a write the fast tier acknowledged but never flushed down
+            backend.put(key, {"rows": []}, kind="scenario-result")
+            return await service.drain(timeout_s=5.0)
+
+        summary = run_service(scenario, backend=backend)
+        assert summary["drained"] is True
+        assert summary["flushed_writes"] == 1
+        assert durable.get(key) == {"rows": []}
+
+
+def _scenario_manifest(tmp_path, scenario, **fields):
+    manifest = RunManifest(jobs=1, package_version="test", **fields)
+    manifest.records.append(
+        ExperimentRecord(
+            experiment_id=f"scenario:{scenario.name}",
+            status="ok",
+            scenario_spec=scenario.to_spec(),
+        )
+    )
+    path = tmp_path / "MANIFEST.json"
+    return manifest, path
+
+
+class TestWarm:
+    def test_warm_from_manifest_preseeds_the_backend(self, tmp_path):
+        scenario = loadgen_scenarios(1)[0]
+        digest = scenario.digest()
+        source = DirectoryBackend(tmp_path / "runner-cache")
+        source.put(digest, scenario.run().to_dict(), kind="scenario-result")
+        manifest, path = _scenario_manifest(tmp_path, scenario)
+        manifest.records.append(
+            ExperimentRecord(experiment_id="scenario:crashed", status="error")
+        )
+        manifest.write(path)
+
+        backend = MemoryLRUBackend()
+        summary = warm_from_manifest(backend, path, source=source)
+        assert summary["warmed"] == 1
+        assert summary["missing"] == 0
+        assert backend.get(digest) is not None
+        # idempotent: a second warm finds everything already present
+        again = warm_from_manifest(backend, path, source=source)
+        assert again["already_present"] == 1
+        assert again["warmed"] == 0
+
+    def test_warm_counts_missing_payloads(self, tmp_path):
+        manifest, path = _scenario_manifest(tmp_path, loadgen_scenarios(1)[0])
+        manifest.write(path)
+        empty_source = DirectoryBackend(tmp_path / "empty")
+        summary = warm_from_manifest(
+            MemoryLRUBackend(), path, source=empty_source
+        )
+        assert summary["missing"] == 1
+        assert summary["warmed"] == 0
+
+    def test_warm_reads_the_cache_the_manifest_recorded(self, tmp_path):
+        # the default cache ($REPRO_CACHE_DIR) is not where the run wrote
+        run_cache = tmp_path / "run-cache"
+        outcome = run_many(["table1"], cache_dir=run_cache)
+        path = tmp_path / "MANIFEST.json"
+        outcome.manifest.write(path)
+        assert outcome.manifest.cache_dir == str(run_cache)
+
+        backend = MemoryLRUBackend()
+        summary = warm_from_manifest(backend, path)
+        assert summary["warmed"] == 1
+        assert summary["missing"] == 0
+        assert list(backend.keys()) == list(DirectoryBackend(run_cache).keys())

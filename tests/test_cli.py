@@ -349,6 +349,31 @@ class TestCacheCommand:
         with pytest.raises(SystemExit):
             main(["cache"])
 
+    @pytest.mark.parametrize(
+        "flags", [["--backend", "memory"], ["--ttl", "5"], ["--max-entries", "9"]]
+    )
+    def test_storage_flags_are_gone(self, capsys, flags):
+        # the directory store is the only persistent cache
+        with pytest.raises(SystemExit) as exc_info:
+            main(["cache", "info", *flags])
+        assert exc_info.value.code == 2
+
+
+class TestServeSurface:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["route", "--shard", "http://127.0.0.1:1"],
+            ["serve", "--ttl", "5"],
+            ["serve", "--max-entries", "9"],
+        ],
+    )
+    def test_router_and_retention_flags_are_gone(self, capsys, argv):
+        # one process serves one cache: no standalone router, no sqlite tier
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+
 
 class TestCurves:
     def test_prints_preset_platform(self, capsys):
