@@ -321,6 +321,60 @@ def _bench_hierarchy_visit():
     return work, summarize
 
 
+@register("hierarchy.prime", "hierarchy", "cpu")
+def _bench_hierarchy_prime():
+    """Priming the default LLC, then a store stream through it.
+
+    One fresh default :class:`MemoryHierarchy` per store fraction is
+    primed to the write steady state, the way every closed-loop
+    measurement point starts, and then takes a fixed streaming-store
+    stream whose LLC misses evict the scratch lines. The digest covers
+    the LLC counters and the memory writes those evictions produce.
+    """
+    from ..cpu.cache import HierarchyConfig
+    from ..cpu.hierarchy import MemoryHierarchy
+    from ..memmodels.fixed import FixedLatencyModel
+
+    fractions = (0.2, 0.4, 0.6, 0.8, 1.0)
+    accesses = 20_000
+    line = 64
+
+    def work(variant: str) -> dict:
+        counters: dict[str, dict] = {}
+        for fraction in fractions:
+            hierarchy = MemoryHierarchy(
+                cores=1,
+                config=HierarchyConfig(),
+                memory=FixedLatencyModel(60.0),
+                prefetch_lines=0,
+            )
+            hierarchy.prime_write_steady_state(dirty_fraction=fraction)
+            for index in range(accesses):
+                hierarchy.access(
+                    core=0,
+                    address=index * line,
+                    is_store=True,
+                    now_ns=index * 0.8,
+                )
+            stats = hierarchy.llc.stats
+            counters[str(fraction)] = {
+                "llc_hits": stats.hits,
+                "llc_misses": stats.misses,
+                "llc_writebacks": stats.writebacks,
+                "llc_clean_evictions": stats.clean_evictions,
+                "memory_writes": hierarchy.memory.stats.writes,
+            }
+        return counters
+
+    def summarize(counters: dict) -> dict:
+        return {
+            "digest": spec_digest(counters),
+            "ops": accesses * len(counters),
+        }
+
+    return work, summarize
+
+
 @register("checks.selfcheck", "checks", variants=("cold", "warm"))
 def _bench_checks_selfcheck():
     """The whole-program self-check, cold cache vs warm cache.

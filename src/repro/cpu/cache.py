@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from ..errors import ConfigurationError
 from ..specs import SpecConvertible
 from ..units import CACHE_LINE_BYTES
-from .policies import ReplacementPolicy, make_policy, mix64
+from .policies import ReplacementPolicy, mix64, policy_class
 
 
 @dataclass
@@ -136,13 +136,18 @@ class Cache:
         self.policy_seed = policy_seed
         self.num_sets = lines // ways
         self.stats = CacheStats()
-        # validate the policy name eagerly, before the first miss
-        make_policy(policy, ways, 0)
+        self._policy_cls = policy_class(policy)
+        # validate the geometry against the policy before the first miss
+        self._policy_cls(ways, 0)
         self._sets: dict[int, _CacheSet] = {}
+        # (first scratch line, dirty fraction) of a recorded fill; sets
+        # are built primed when first touched (see fill_with_scratch)
+        self._prime: tuple[int, float] | None = None
 
     def reset(self) -> None:
         """Invalidate all lines and clear statistics."""
         self._sets.clear()
+        self._prime = None
         self.stats = CacheStats()
 
     def _locate(self, address: int) -> tuple[int, int]:
@@ -152,14 +157,39 @@ class Cache:
     def _set_for(self, set_index: int) -> _CacheSet:
         state = self._sets.get(set_index)
         if state is None:
-            state = _CacheSet(
-                self.ways,
-                make_policy(
-                    self.policy, self.ways, mix64(self.policy_seed, set_index)
-                ),
-            )
+            cls = self._policy_cls
+            seed = mix64(self.policy_seed, set_index) if cls.seeded else 0
+            state = _CacheSet(self.ways, cls(self.ways, seed))
+            if self._prime is not None:
+                self._prime_set(state, set_index, *self._prime)
             self._sets[set_index] = state
         return state
+
+    def _prime_set(
+        self, state: _CacheSet, set_index: int, first_line: int, fraction: float
+    ) -> None:
+        """Give a new set the lines the recorded scratch fill put there.
+
+        The fill installs lines ``first, first+1, ...`` in order, so
+        this set receives every ``num_sets``-th of them, starting at
+        fill index ``start``: consecutive tags in ways ``0..ways-1``,
+        touched in that order. Line ``i`` of the fill is dirty when the
+        Bresenham schedule ``round(i * fraction)`` steps at ``i``.
+        """
+        num_sets = self.num_sets
+        start = (set_index - first_line) % num_sets
+        first_tag = (first_line + start) // num_sets
+        tags = list(range(first_tag, first_tag + self.ways))
+        # one int object per tag, shared by the way list and the dict
+        state.tags = list(tags)
+        state.way_of = dict(zip(tags, range(self.ways)))
+        state.free = []
+        if not self.write_through:
+            state.dirty = [
+                round((index + 1) * fraction) > round(index * fraction)
+                for index in range(start, start + self.ways * num_sets, num_sets)
+            ]
+        state.policy.fill()
 
     def _allocate(self, state: _CacheSet, set_index: int, tag: int, dirty: bool) -> tuple[int | None, bool]:
         """Place ``tag`` in a free or victimized way.
@@ -225,16 +255,26 @@ class Cache:
     def contains(self, address: int) -> bool:
         """Whether the line holding ``address`` is resident (no policy touch)."""
         set_index, tag = self._locate(address)
-        state = self._sets.get(set_index)
+        state = self._existing_set(set_index)
         return state is not None and tag in state.way_of
+
+    def _existing_set(self, set_index: int) -> _CacheSet | None:
+        """The set's state, or ``None`` for a set that holds no lines.
+
+        A set of a primed cache holds its scratch lines until evicted,
+        so it is built; an untouched set of an unprimed cache is empty
+        and is not created just to be asked.
+        """
+        if self._prime is not None:
+            return self._set_for(set_index)
+        return self._sets.get(set_index)
 
     def install(self, address: int, dirty: bool) -> None:
         """Silently install a line (warmup priming; no stats, no traffic).
 
-        Used to pre-establish cache steady state before a measurement
-        window, the simulation equivalent of the real benchmark's
-        discarded warmup iterations. Victims are dropped without
-        generating writebacks.
+        Victims are dropped without generating writebacks. Installing
+        every scratch line in order is the reference definition of
+        :meth:`fill_with_scratch`, which the tests compare against.
         """
         set_index, tag = self._locate(address)
         state = self._set_for(set_index)
@@ -253,7 +293,7 @@ class Cache:
         to do with a dirty copy (normally: write it to memory).
         """
         set_index, tag = self._locate(address)
-        state = self._sets.get(set_index)
+        state = self._existing_set(set_index)
         if state is None:
             return False, False
         way = state.way_of.get(tag)
@@ -276,22 +316,29 @@ class Cache:
         allocations are ``dirty_fraction`` stores — so write-allocate
         traffic shows its steady 1-read-1-write-per-store pattern from
         the first access instead of after a full cache-fill period.
-        Returns the number of lines installed.
+
+        The result is that of installing the ``num_sets * ways``
+        consecutive lines from ``scratch_base`` in order, line ``i``
+        dirty when ``round((i + 1) * dirty_fraction)`` steps above
+        ``round(i * dirty_fraction)`` (an exact fraction over any
+        prefix). Only the fill is recorded here; each set is built in
+        that state when first touched, so a measurement point pays for
+        the sets it uses rather than for the whole cache. Only an empty
+        cache can be filled. Returns the number of lines the fill
+        holds.
         """
         if not 0.0 <= dirty_fraction <= 1.0:
             raise ConfigurationError(
                 f"dirty_fraction must be in [0, 1], got {dirty_fraction}"
             )
-        total_lines = self.num_sets * self.ways
-        dirty_acc = 0
-        for index in range(total_lines):
-            # Bresenham schedule: exact fraction over any prefix
-            target = round((index + 1) * dirty_fraction)
-            dirty = target > dirty_acc
-            if dirty:
-                dirty_acc += 1
-            self.install(scratch_base + index * self.line_bytes, dirty=dirty)
-        return total_lines
+        if self._prime is not None:
+            raise ConfigurationError(f"{self.name}: cache is already primed")
+        if self._sets:
+            raise ConfigurationError(
+                f"{self.name}: only an empty cache can be primed"
+            )
+        self._prime = (scratch_base // self.line_bytes, dirty_fraction)
+        return self.num_sets * self.ways
 
 
 @dataclass(frozen=True)

@@ -37,10 +37,15 @@ class ReplacementPolicy:
 
     ``touch(way)`` records a use of ``way`` (hit or fill); ``victim()``
     names the way to evict from a full set; ``forget(way)`` drops any
-    recency state when a line is invalidated (back-invalidation).
+    recency state when a line is invalidated (back-invalidation);
+    ``fill()`` puts a fresh policy in the state of ways ``0..ways-1``
+    touched in that order (a primed set). ``seeded`` marks the policies
+    that read their per-set seed, so the cache derives one only for
+    them.
     """
 
     kind = "base"
+    seeded = False
 
     def __init__(self, ways: int, seed: int = 0) -> None:
         if ways < 1:
@@ -55,6 +60,11 @@ class ReplacementPolicy:
 
     def forget(self, way: int) -> None:
         """Invalidate-time hook; default policies keep no per-line state."""
+
+    def fill(self) -> None:
+        """State of a fresh policy after touching every way in order."""
+        for way in range(self.ways):
+            self.touch(way)
 
 
 class LruPolicy(ReplacementPolicy):
@@ -86,6 +96,9 @@ class LruPolicy(ReplacementPolicy):
             self._order.remove(way)
         except ValueError:
             pass
+
+    def fill(self) -> None:
+        self._order = list(range(self.ways))
 
 
 class TreePlruPolicy(ReplacementPolicy):
@@ -135,6 +148,7 @@ class SeededRandomPolicy(ReplacementPolicy):
     """
 
     kind = "random"
+    seeded = True
 
     def __init__(self, ways: int, seed: int = 0) -> None:
         super().__init__(ways, seed)
@@ -147,6 +161,9 @@ class SeededRandomPolicy(ReplacementPolicy):
     def victim(self) -> int:
         self._draws += 1
         return mix64(self._seed, self._draws) % self.ways
+
+    def fill(self) -> None:
+        pass
 
 
 POLICIES: dict[str, type[ReplacementPolicy]] = {
@@ -161,12 +178,16 @@ def policy_kinds() -> tuple[str, ...]:
     return tuple(sorted(POLICIES))
 
 
-def make_policy(kind: str, ways: int, seed: int = 0) -> ReplacementPolicy:
-    """Instantiate a registered policy for one set of ``ways`` ways."""
+def policy_class(kind: str) -> type[ReplacementPolicy]:
+    """The registered policy class named ``kind``."""
     try:
-        cls = POLICIES[kind]
+        return POLICIES[kind]
     except KeyError:
         raise ConfigurationError(
             f"unknown replacement policy {kind!r}; known: {', '.join(policy_kinds())}"
         ) from None
-    return cls(ways, seed)
+
+
+def make_policy(kind: str, ways: int, seed: int = 0) -> ReplacementPolicy:
+    """Instantiate a registered policy for one set of ``ways`` ways."""
+    return policy_class(kind)(ways, seed)

@@ -80,32 +80,20 @@ class ResultCache:
         self.backend = DirectoryBackend(self.root)
 
     # ------------------------------------------------------------------
-    # Counters (owned by the backend; mirrored for the runner/tests)
+    # Counters (owned by the backend; read by the runner and tests)
     # ------------------------------------------------------------------
 
     @property
     def hits(self) -> int:
         return self.backend.hits
 
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self.backend.hits = value
-
     @property
     def misses(self) -> int:
         return self.backend.misses
 
-    @misses.setter
-    def misses(self, value: int) -> None:
-        self.backend.misses = value
-
     @property
     def quarantined(self) -> int:
         return self.backend.quarantined
-
-    @quarantined.setter
-    def quarantined(self, value: int) -> None:
-        self.backend.quarantined = value
 
     # ------------------------------------------------------------------
     # Keys
